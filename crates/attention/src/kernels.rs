@@ -3,9 +3,11 @@
 //! Every hot loop in the decode pipeline — prefill attention, per-step
 //! scoring, exact attention over a selection, and top-k selection — runs
 //! over contiguous row-major arenas through this module instead of
-//! pointer-chasing `Vec<Vec<f32>>` layouts. The kernels are deliberately
-//! allocation-free: callers pass output slices and reusable scratch
-//! buffers, so a steady-state decode step performs no heap traffic.
+//! pointer-chasing `Vec<Vec<f32>>` layouts. The kernels themselves
+//! allocate nothing: callers pass output slices and reusable scratch
+//! buffers. (A decode step as a whole still allocates — the policy's
+//! `StepDecision.selected` on every step, and `BTreeSet`s on answer
+//! steps — but none of that traffic is in this module.)
 //!
 //! Layout convention: a [`RowView`] describes `n` logical rows of `dim`
 //! contiguous `f32`s inside a flat buffer, with consecutive rows `stride`
@@ -50,16 +52,12 @@
 //!   to first order — standard recursive-summation analysis — and FMA
 //!   only removes rounding steps). Softmax is shared scalar code on every
 //!   tier. For a fixed tier, every kernel is deterministic: same inputs,
-//!   same bits, run to run and thread count to thread count.
-//! * **Chunked kernels only partition work.** [`dot_gather_chunked`] /
-//!   [`dot_gather_q_chunked`] split the gather into fixed-size chunks,
-//!   each writing a disjoint output range with the same per-row kernel,
-//!   so results are bit-identical for every worker count and chunk size.
+//!   same bits, run to run.
 //!
 //! `UNICAIM_KERNEL_BACKEND=scalar` therefore reproduces the pre-dispatch
 //! kernel layer bit-for-bit.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::matrix::softmax_in_place;
 
@@ -542,34 +540,6 @@ pub fn weighted_sum_gather_with<V: Rows>(
     }
 }
 
-/// Accumulates `out += Σ weights[r] · values[r]` over rows
-/// `0..weights.len()`.
-///
-/// # Panics
-///
-/// Panics if `out.len() != values.dim()`.
-pub fn weighted_sum_prefix<V: Rows>(weights: &[f32], values: V, out: &mut [f32]) {
-    weighted_sum_prefix_with(active_backend(), weights, values, out);
-}
-
-/// [`weighted_sum_prefix`] on an explicit tier.
-///
-/// # Panics
-///
-/// Panics if `out.len() != values.dim()`.
-pub fn weighted_sum_prefix_with<V: Rows>(
-    backend: KernelBackend,
-    weights: &[f32],
-    values: V,
-    out: &mut [f32],
-) {
-    assert_eq!(out.len(), values.dim(), "output/value dimension mismatch");
-    let axpy = axpy_fn(backend);
-    for (r, &w) in weights.iter().enumerate() {
-        axpy(w, values.row(r), out);
-    }
-}
-
 /// Fused gather → score → softmax → weighted-sum attention over the
 /// gathered `rows`: `out = softmax(scale · q·Kᵀ) · V`, writing into `out`
 /// and reusing `weights` as scratch. An empty gather writes a zero vector.
@@ -680,7 +650,11 @@ pub fn attend_prefix_with<K: Rows, V: Rows>(
     weights.resize(n, 0.0);
     dot_prefix_with(backend, query, keys, scale, weights);
     softmax_in_place(weights);
-    weighted_sum_prefix_with(backend, weights, values, out);
+    assert_eq!(out.len(), values.dim(), "output/value dimension mismatch");
+    let axpy = axpy_fn(backend);
+    for (r, &w) in weights.iter().enumerate() {
+        axpy(w, values.row(r), out);
+    }
 }
 
 /// A borrowed view of row-major `i8` rows with one `f32` scale per row:
@@ -974,44 +948,6 @@ pub fn dot_i8_with(backend: KernelBackend, a: &[i8], b: &[i8]) -> i32 {
     dot_i8_fn(backend)(a, b)
 }
 
-/// Quantized twin of [`dot_prefix`]: scaled dots of a pre-quantized query
-/// against rows `0..out.len()` of the quantized key arena. The integer
-/// dot accumulates in `i32`; the combined rescale
-/// (`scale · query_scale · keys.scale(r)`) is applied **once per row**.
-///
-/// # Panics
-///
-/// Panics if a row extends past the key buffer.
-pub fn dot_prefix_q<Q: QuantRows>(
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    scale: f32,
-    out: &mut [f32],
-) {
-    dot_prefix_q_with(active_backend(), query_q, query_scale, keys, scale, out);
-}
-
-/// [`dot_prefix_q`] on an explicit tier (bit-exact on every tier: the
-/// integer dot is exact and the rescale is shared scalar code).
-///
-/// # Panics
-///
-/// Panics if a row extends past the key buffer.
-pub fn dot_prefix_q_with<Q: QuantRows>(
-    backend: KernelBackend,
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    scale: f32,
-    out: &mut [f32],
-) {
-    let dot = dot_i8_fn(backend);
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = dot(query_q, keys.row(r)) as f32 * (scale * query_scale * keys.scale(r));
-    }
-}
-
 /// Quantized twin of [`dot_gather`]: scaled dots of a pre-quantized query
 /// against the gathered `rows` of the quantized key arena, rescaled once
 /// per row.
@@ -1056,6 +992,57 @@ pub fn dot_gather_q_with<Q: QuantRows>(
     let dot = dot_i8_fn(backend);
     for (&r, o) in rows.iter().zip(out.iter_mut()) {
         *o = dot(query_q, keys.row(r)) as f32 * (scale * query_scale * keys.scale(r));
+    }
+}
+
+/// The decode session's resident scan: [`dot_gather_q`] with the
+/// **resident-scan rescale order** `raw · ((query_scale · keys.scale(r)) ·
+/// scale)`, which differs from [`dot_gather_q`]'s
+/// `(scale · query_scale) · keys.scale(r)` in the last bits. The session
+/// has always scored residents in this association; pinning it here keeps
+/// quantized decode trajectories bit-identical.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != out.len()` or a row is out of range.
+pub fn dot_gather_q_scan<Q: QuantRows>(
+    query_q: &[i8],
+    query_scale: f32,
+    keys: Q,
+    rows: &[usize],
+    scale: f32,
+    out: &mut [f32],
+) {
+    dot_gather_q_scan_with(
+        active_backend(),
+        query_q,
+        query_scale,
+        keys,
+        rows,
+        scale,
+        out,
+    );
+}
+
+/// [`dot_gather_q_scan`] on an explicit tier (bit-exact on every tier:
+/// the integer dot is exact and the rescale is shared scalar code).
+///
+/// # Panics
+///
+/// Panics if `rows.len() != out.len()` or a row is out of range.
+pub fn dot_gather_q_scan_with<Q: QuantRows>(
+    backend: KernelBackend,
+    query_q: &[i8],
+    query_scale: f32,
+    keys: Q,
+    rows: &[usize],
+    scale: f32,
+    out: &mut [f32],
+) {
+    assert_eq!(rows.len(), out.len(), "gather output length mismatch");
+    let dot = dot_i8_fn(backend);
+    for (&r, o) in rows.iter().zip(out.iter_mut()) {
+        *o = dot(query_q, keys.row(r)) as f32 * (query_scale * keys.scale(r) * scale);
     }
 }
 
@@ -1119,252 +1106,6 @@ pub fn attend_gather_q_with<Q: QuantRows, V: Rows>(
     dot_gather_q_with(backend, query_q, query_scale, keys, rows, scale, weights);
     softmax_in_place(weights);
     weighted_sum_gather_with(backend, weights, values, rows, out);
-}
-
-/// Quantized twin of [`attend_prefix`]: fused attention over the
-/// contiguous row prefix `0..n`, scoring from the quantized key arena with
-/// `f32` values. `n == 0` writes a zero vector.
-///
-/// # Panics
-///
-/// Panics if `query_q.len() != keys.dim()` or `out.len() != values.dim()`.
-#[allow(clippy::too_many_arguments)]
-pub fn attend_prefix_q<Q: QuantRows, V: Rows>(
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    values: V,
-    n: usize,
-    scale: f32,
-    weights: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    attend_prefix_q_with(
-        active_backend(),
-        query_q,
-        query_scale,
-        keys,
-        values,
-        n,
-        scale,
-        weights,
-        out,
-    );
-}
-
-/// [`attend_prefix_q`] on an explicit tier.
-///
-/// # Panics
-///
-/// Panics if `query_q.len() != keys.dim()` or `out.len() != values.dim()`.
-#[allow(clippy::too_many_arguments)]
-pub fn attend_prefix_q_with<Q: QuantRows, V: Rows>(
-    backend: KernelBackend,
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    values: V,
-    n: usize,
-    scale: f32,
-    weights: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    assert_eq!(query_q.len(), keys.dim(), "query/key dimension mismatch");
-    out.fill(0.0);
-    if n == 0 {
-        return;
-    }
-    weights.clear();
-    weights.resize(n, 0.0);
-    dot_prefix_q_with(backend, query_q, query_scale, keys, scale, weights);
-    softmax_in_place(weights);
-    weighted_sum_prefix_with(backend, weights, values, out);
-}
-
-// ---------------------------------------------------------------------
-// Chunked intra-sequence fan-out
-// ---------------------------------------------------------------------
-
-/// Default chunk size (in rows) for the chunked gather kernels — the
-/// granule the decode session splits its resident scan into.
-pub const DEFAULT_SCAN_CHUNK: usize = 128;
-
-/// [`dot_gather`] with the gather split into fixed `chunk_rows`-sized
-/// chunks fanned out over up to `workers` threads. Each chunk writes its
-/// own disjoint range of `out` with the same per-row kernel, so the
-/// result is **bit-identical for every worker count and chunk size**
-/// (only the work partition changes); `workers <= 1` or a gather that
-/// fits one chunk runs inline with no thread traffic.
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()`, `chunk_rows == 0`, or a row is
-/// out of range.
-pub fn dot_gather_chunked<K: Rows + Sync>(
-    query: &[f32],
-    keys: K,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-    chunk_rows: usize,
-    workers: usize,
-) {
-    dot_gather_chunked_with(
-        active_backend(),
-        query,
-        keys,
-        rows,
-        scale,
-        out,
-        chunk_rows,
-        workers,
-    );
-}
-
-/// [`dot_gather_chunked`] on an explicit tier (the partition is
-/// bit-inert, so the tier alone decides the numerics — same contract as
-/// [`dot_gather_with`]).
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()`, `chunk_rows == 0`, or a row is
-/// out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn dot_gather_chunked_with<K: Rows + Sync>(
-    backend: KernelBackend,
-    query: &[f32],
-    keys: K,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-    chunk_rows: usize,
-    workers: usize,
-) {
-    assert_eq!(rows.len(), out.len(), "gather output length mismatch");
-    assert!(chunk_rows > 0, "chunk_rows must be positive");
-    if workers <= 1 || rows.len() <= chunk_rows {
-        dot_gather_with(backend, query, keys, rows, scale, out);
-        return;
-    }
-    let threads = workers.min(rows.len().div_ceil(chunk_rows));
-    let jobs = Mutex::new(rows.chunks(chunk_rows).zip(out.chunks_mut(chunk_rows)));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // A worker panicking mid-chunk poisons the queue but leaves
-                // the iterator consistent; recover and drain the rest (the
-                // panic itself still propagates when the scope joins).
-                let job = jobs
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .next();
-                let Some((rows_c, out_c)) = job else { break };
-                dot_gather_with(backend, query, keys, rows_c, scale, out_c);
-            });
-        }
-    });
-}
-
-/// Per-row quantized scoring with the **resident-scan rescale order**:
-/// `raw · ((query_scale · keys.scale(r)) · scale)` — the association the
-/// decode session has always used, which differs from [`dot_gather_q`]'s
-/// `(scale · query_scale) · keys.scale(r)` in the last bits. Keeping it
-/// pinned here is what lets `UNICAIM_KERNEL_BACKEND=scalar` reproduce
-/// pre-dispatch decode trajectories bit-for-bit.
-fn dot_gather_q_scan<Q: QuantRows>(
-    backend: KernelBackend,
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-) {
-    let dot = dot_i8_fn(backend);
-    for (&r, o) in rows.iter().zip(out.iter_mut()) {
-        *o = dot(query_q, keys.row(r)) as f32 * (query_scale * keys.scale(r) * scale);
-    }
-}
-
-/// Quantized twin of [`dot_gather_chunked`], using the resident-scan
-/// rescale order `(query_scale · keys.scale(r)) · scale` (see the note on
-/// the internal scan kernel: this is the decode session's historical
-/// association, so scalar-tier decode stays bit-compatible with the
-/// pre-dispatch kernel layer). Bit-identical for every worker count and
-/// chunk size, and — because the integer dot is exact and the rescale is
-/// shared scalar code — across every backend tier too.
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()`, `chunk_rows == 0`, or a row is
-/// out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn dot_gather_q_chunked<Q: QuantRows + Sync>(
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-    chunk_rows: usize,
-    workers: usize,
-) {
-    dot_gather_q_chunked_with(
-        active_backend(),
-        query_q,
-        query_scale,
-        keys,
-        rows,
-        scale,
-        out,
-        chunk_rows,
-        workers,
-    );
-}
-
-/// [`dot_gather_q_chunked`] on an explicit tier (exact integer dots, so
-/// every tier is bit-identical — the twin pins the tier for parity
-/// tests).
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()`, `chunk_rows == 0`, or a row is
-/// out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn dot_gather_q_chunked_with<Q: QuantRows + Sync>(
-    backend: KernelBackend,
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-    chunk_rows: usize,
-    workers: usize,
-) {
-    assert_eq!(rows.len(), out.len(), "gather output length mismatch");
-    assert!(chunk_rows > 0, "chunk_rows must be positive");
-    if workers <= 1 || rows.len() <= chunk_rows {
-        dot_gather_q_scan(backend, query_q, query_scale, keys, rows, scale, out);
-        return;
-    }
-    let threads = workers.min(rows.len().div_ceil(chunk_rows));
-    let jobs = Mutex::new(rows.chunks(chunk_rows).zip(out.chunks_mut(chunk_rows)));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // See `dot_gather_chunked_with`: poison recovery keeps the
-                // drain panic-free while the worker's panic still surfaces
-                // at scope join.
-                let job = jobs
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .next();
-                let Some((rows_c, out_c)) = job else { break };
-                dot_gather_q_scan(backend, query_q, query_scale, keys, rows_c, scale, out_c);
-            });
-        }
-    });
 }
 
 /// Indices `0..n` ranked best-first under `cmp` (where `Ordering::Less`
@@ -1643,7 +1384,7 @@ mod tests {
     }
 
     #[test]
-    fn dot_prefix_q_and_gather_q_agree() {
+    fn dot_gather_q_tracks_f32_kernel_and_scan_order() {
         let dim = 12;
         let n = 6;
         let keys: Vec<f32> = (0..n * dim)
@@ -1654,63 +1395,24 @@ mod tests {
         let query: Vec<f32> = (0..dim).map(|i| (i as f32) * 0.1 - 0.5).collect();
         let mut qq = vec![0i8; dim];
         let qs = quantize_row_i8(&query, &mut qq);
-        let mut a = vec![0.0f32; n];
-        dot_prefix_q(&qq, qs, view, 2.0, &mut a);
         let rows: Vec<usize> = (0..n).collect();
-        let mut b = vec![0.0f32; n];
-        dot_gather_q(&qq, qs, view, &rows, 2.0, &mut b);
-        assert_eq!(a, b);
-        // And both stay close to the f32 kernel.
+        let mut q = vec![0.0f32; n];
+        dot_gather_q(&qq, qs, view, &rows, 2.0, &mut q);
+        // The int8 scores stay close to the f32 kernel.
         let mut f = vec![0.0f32; n];
-        dot_prefix(&query, RowView::contiguous(&keys, dim), 2.0, &mut f);
-        for (x, y) in a.iter().zip(&f) {
-            assert!((x - y).abs() <= 0.05 * y.abs().max(1.0), "{a:?} vs {f:?}");
+        dot_gather(&query, RowView::contiguous(&keys, dim), &rows, 2.0, &mut f);
+        for (x, y) in q.iter().zip(&f) {
+            assert!((x - y).abs() <= 0.05 * y.abs().max(1.0), "{q:?} vs {f:?}");
         }
-    }
-
-    #[test]
-    fn chunked_gather_is_identical_for_every_worker_count_and_chunk_size() {
-        let dim = 13;
-        let n = 57;
-        let keys: Vec<f32> = (0..n * dim)
-            .map(|i| ((i * 23) % 19) as f32 * 0.15 - 1.2)
-            .collect();
-        let query: Vec<f32> = (0..dim).map(|i| 0.6 - (i as f32) * 0.07).collect();
-        let view = RowView::contiguous(&keys, dim);
-        let rows: Vec<usize> = (0..n).rev().collect();
-        let mut reference = vec![0.0f32; n];
-        dot_gather(&query, view, &rows, 0.5, &mut reference);
-        for workers in [1usize, 2, 4] {
-            for chunk in [1usize, 3, 8, 64] {
-                let mut out = vec![0.0f32; n];
-                dot_gather_chunked(&query, view, &rows, 0.5, &mut out, chunk, workers);
-                assert_eq!(out, reference, "workers {workers} chunk {chunk}");
-            }
+        // The resident-scan kernel differs only in its rescale association.
+        let mut scan = vec![0.0f32; n];
+        dot_gather_q_scan(&qq, qs, view, &rows, 2.0, &mut scan);
+        for (x, y) in scan.iter().zip(&q) {
+            assert!(
+                (x - y).abs() <= 1e-5 * y.abs().max(1.0),
+                "{scan:?} vs {q:?}"
+            );
         }
-        // Quantized twin: same partition-invariance, including vs its own
-        // sequential path.
-        let (qkeys, scales) = quantize_arena_i8(&keys, dim);
-        let qview = QuantRowView::contiguous(&qkeys, &scales, dim);
-        let mut qq = vec![0i8; dim];
-        let qscale = quantize_row_i8(&query, &mut qq);
-        let mut q_reference = vec![0.0f32; n];
-        dot_gather_q_chunked(&qq, qscale, qview, &rows, 0.5, &mut q_reference, 64, 1);
-        for workers in [2usize, 4] {
-            for chunk in [1usize, 3, 8] {
-                let mut out = vec![0.0f32; n];
-                dot_gather_q_chunked(&qq, qscale, qview, &rows, 0.5, &mut out, chunk, workers);
-                assert_eq!(out, q_reference, "workers {workers} chunk {chunk}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_gather_handles_empty_rows() {
-        let keys = [1.0f32, 2.0, 3.0, 4.0];
-        let view = RowView::contiguous(&keys, 2);
-        let mut out: Vec<f32> = Vec::new();
-        dot_gather_chunked(&[1.0, 1.0], view, &[], 1.0, &mut out, 16, 4);
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -1767,37 +1469,6 @@ mod tests {
             &mut out_q,
         );
         assert_eq!(out_q, vec![0.0; dim]);
-    }
-
-    #[test]
-    fn attend_prefix_q_matches_gather_over_full_prefix() {
-        let dim = 6;
-        let n = 5;
-        let keys: Vec<f32> = (0..n * dim)
-            .map(|i| ((i * 3) % 11) as f32 * 0.3 - 1.2)
-            .collect();
-        let values: Vec<f32> = (0..n * dim).map(|i| ((i * 5) % 13) as f32 * 0.1).collect();
-        let query = vec![0.5f32, -0.25, 0.75, 0.0, -1.0, 0.3];
-        let mut qkeys = vec![0i8; n * dim];
-        let mut scales = vec![0.0f32; n];
-        for r in 0..n {
-            scales[r] = quantize_row_cell3(
-                &keys[r * dim..(r + 1) * dim],
-                &mut qkeys[r * dim..(r + 1) * dim],
-            );
-        }
-        let mut qq = vec![0i8; dim];
-        let qs = quantize_row_i8(&query, &mut qq);
-        let kview = QuantRowView::contiguous(&qkeys, &scales, dim);
-        let vview = RowView::contiguous(&values, dim);
-        let rows: Vec<usize> = (0..n).collect();
-        let mut w1 = Vec::new();
-        let mut w2 = Vec::new();
-        let mut a = vec![0.0f32; dim];
-        let mut b = vec![0.0f32; dim];
-        attend_prefix_q(&qq, qs, kview, vview, n, 0.5, &mut w1, &mut a);
-        attend_gather_q(&qq, qs, kview, vview, &rows, 0.5, &mut w2, &mut b);
-        assert_eq!(a, b);
     }
 
     /// Regression (satellite): extreme-magnitude logits through the fused

@@ -47,7 +47,7 @@ use crate::AttentionError;
 /// quantized stores keep a shadow `i8` key arena with one scale per row
 /// (1 byte/element, a ~4× traffic reduction), and the decode hot path
 /// scores queries against it with the integer kernels
-/// ([`dot_prefix_q`](crate::kernels::dot_prefix_q),
+/// ([`dot_gather_q_scan`](crate::kernels::dot_gather_q_scan),
 /// [`attend_gather_q`](crate::kernels::attend_gather_q)). Values stay
 /// `f32` in every mode, mirroring the array (only the CAM/CIM key storage
 /// is reduced-precision). Queries are quantized per step to symmetric

@@ -358,8 +358,8 @@ proptest! {
         seed in 0u64..300,
     ) {
         use unicaim_attention::kernels::{
-            attend_gather, attend_gather_q, attend_prefix, attend_prefix_q, dot_gather,
-            dot_gather_q, dot_prefix, dot_prefix_q, quantize_row_i8, QuantRowView, RowView,
+            attend_gather, attend_gather_q, attend_prefix, dot_gather, dot_gather_q,
+            dot_gather_q_scan, dot_prefix, quantize_row_i8, QuantRowView, RowView,
         };
         use unicaim_attention::{PageArena, Precision};
         let keys = Matrix::random_normal(n, dim, 1.0, seed);
@@ -394,13 +394,12 @@ proptest! {
         dot_gather(query.row(0), store.keys_view(), &rows, scale, &mut a);
         dot_gather(query.row(0), flat_k, &rows, scale, &mut b);
         prop_assert_eq!(&a, &b);
-        let (mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n]);
-        dot_prefix_q(&qq, qs, paged_q, scale, &mut a[..n]);
-        dot_prefix_q(&qq, qs, flat_qk, scale, &mut b[..n]);
-        prop_assert_eq!(&a, &b);
         let (mut a, mut b) = (vec![0.0f32; rows.len()], vec![0.0f32; rows.len()]);
         dot_gather_q(&qq, qs, paged_q, &rows, scale, &mut a);
         dot_gather_q(&qq, qs, flat_qk, &rows, scale, &mut b);
+        prop_assert_eq!(&a, &b);
+        dot_gather_q_scan(&qq, qs, paged_q, &rows, scale, &mut a);
+        dot_gather_q_scan(&qq, qs, flat_qk, &rows, scale, &mut b);
         prop_assert_eq!(&a, &b);
 
         let (mut w1, mut w2) = (Vec::new(), Vec::new());
@@ -423,12 +422,6 @@ proptest! {
             &qq, qs, paged_q, store.values_view(), &rows, scale, &mut w1, &mut a,
         );
         attend_gather_q(&qq, qs, flat_qk, flat_v, &rows, scale, &mut w2, &mut b);
-        prop_assert_eq!(&a, &b);
-        let (mut a, mut b) = (vec![0.0f32; dim], vec![0.0f32; dim]);
-        attend_prefix_q(
-            &qq, qs, paged_q, store.values_view(), n, scale, &mut w1, &mut a,
-        );
-        attend_prefix_q(&qq, qs, flat_qk, flat_v, n, scale, &mut w2, &mut b);
         prop_assert_eq!(&a, &b);
     }
 

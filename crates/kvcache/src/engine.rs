@@ -103,12 +103,15 @@ impl Scheduler for Sequential {
 
 /// Fans independent per-sequence decode across a fixed worker pool (the
 /// vendored `scoped_threadpool`): each worker claims the next unfinished
-/// session and runs it to completion.
+/// session off a queue. A whole session is the unit of work, so at most
+/// `min(workers, batch size)` threads run; each session scans its
+/// residents on the thread that steps it.
 ///
 /// Per-sequence results are identical to [`Sequential`]'s because nothing
-/// is shared between sequences mid-run; the throughput win is the
-/// ROADMAP's parallel-decode multiplier and scales with
-/// `min(workers, batch size)` up to the machine's cores.
+/// is shared between sequences mid-run. The pool spawns and joins its
+/// threads on every [`run`](Scheduler::run) / [`step_once`](Scheduler::step_once)
+/// call, so it only pays off when each call carries enough work to
+/// amortise that cost.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerPool {
     workers: usize,
@@ -140,7 +143,8 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Applies `run_one` to every session, fanning across the pool. The
+    /// Applies `run_one` to every session, fanning across
+    /// `min(workers, sessions)` pool threads (inline when that is 1). The
     /// shared skeleton under both [`Scheduler::run`] (run to completion)
     /// and [`Scheduler::step_once`] (advance one tick): workers claim the
     /// next session off a queue, and the first error wins and stops the
@@ -151,16 +155,6 @@ impl WorkerPool {
         sessions: &mut [DecodeSession<'w, 'p>],
         run_one: impl Fn(&mut DecodeSession<'w, 'p>) -> Result<(), HarnessError> + Sync,
     ) -> Result<(), HarnessError> {
-        // Batch-level parallelism caps at the number of sessions; any
-        // spare threads are granted to the sessions themselves, which fan
-        // their *intra-sequence* resident scans across chunks (bit-inert:
-        // the chunked reduction is partition-invariant, property-tested).
-        // A single long sequence on an 8-thread pool thus scans with all
-        // 8 threads instead of 1.
-        let scan_workers = (self.workers / sessions.len().max(1)).max(1);
-        for session in sessions.iter_mut() {
-            session.set_scan_workers(scan_workers);
-        }
         let workers = self.workers.min(sessions.len().max(1));
         if workers <= 1 {
             // No parallelism to exploit; skip the pool machinery.

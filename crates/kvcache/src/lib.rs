@@ -115,23 +115,3 @@ pub use stack::{simulate_stack, LayerStackSession, StackConfig, StackResult};
 // The key-arena storage precision every session/batch config carries
 // (defined next to `KvStore` in the attention crate).
 pub use unicaim_attention::Precision;
-
-/// Errors reported by the KV-cache policy layer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum KvCacheError {
-    /// A configuration value failed validation.
-    InvalidConfig {
-        /// Human-readable description.
-        reason: String,
-    },
-}
-
-impl core::fmt::Display for KvCacheError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            KvCacheError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for KvCacheError {}
