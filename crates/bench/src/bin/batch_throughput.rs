@@ -1,6 +1,6 @@
-//! Batched decode throughput: tokens/sec and aggregate fidelity of
-//! [`unicaim_kvcache::simulate_batch`] across batch sizes
-//! and policies.
+//! Batched decode throughput: tokens/sec and aggregate fidelity of a
+//! closed batch on [`unicaim_kvcache::ServeCore`] (every request
+//! submitted at tick 0, then drained) across batch sizes and policies.
 //!
 //! Sweeps the batch size over a mixed needle/multi-hop/summary workload set
 //! (sequences at varying context lengths, draining raggedly like a serving
@@ -19,11 +19,11 @@
 //! observe→insert loop.
 //!
 //! After the sequential sweep, the binary re-times the larger batch sizes
-//! under both [`Scheduler`](unicaim_kvcache::Scheduler)s — the
-//! round-robin `Sequential` baseline and the parallel `WorkerPool` —
-//! timing only the scheduler's decode phase (sessions are admitted
-//! untimed, since admission rebuilds the serial `O(prefill²)` scaffolding)
-//! and reports the per-cell speedup (`--save [<path>]` pins the comparison to
+//! under both [`Scheduler`](unicaim_kvcache::Scheduler)s — the in-order
+//! `Sequential` baseline and the parallel `WorkerPool` — timing only the
+//! scheduler's decode ticks (sessions are prefilled untimed, since
+//! admission rebuilds the serial `O(prefill²)` scaffolding) and reports
+//! the per-cell speedup (`--save [<path>]` pins the comparison to
 //! `results/scheduler_throughput.json`, recording the worker/core count it
 //! was measured with).
 //!
@@ -39,8 +39,8 @@ use serde::{Deserialize, Serialize};
 use unicaim_attention::workloads::{mixed_batch, DecodeWorkload};
 use unicaim_bench::{banner, dump_json, json_output_path, HostProvenance};
 use unicaim_kvcache::{
-    prefill_attention_matrix, simulate_batch, BatchConfig, DecodeEngine, EngineConfig, PolicySpec,
-    SchedulerSpec,
+    prefill_attention_matrix, DecodeSession, PolicySpec, Priority, SchedulerSpec, ServeConfig,
+    ServeCore, SimConfig,
 };
 
 /// Per-sequence slot share (the per-sequence cache budget).
@@ -64,8 +64,8 @@ struct Row {
     batch_size: usize,
     total_capacity: usize,
     tokens: usize,
-    /// End-to-end `simulate_batch` wall-clock, including the per-sequence
-    /// reference/matrix scaffolding.
+    /// End-to-end closed-batch wall-clock (submit, drain, report),
+    /// including the per-sequence reference/matrix scaffolding.
     sim_seconds: f64,
     /// Separately timed scaffolding cost (prefill attention matrix + exact
     /// full-attention reference for every sequence).
@@ -87,7 +87,7 @@ fn policy_menu() -> Vec<PolicySpec> {
     ]
 }
 
-/// Times the evaluation scaffolding `simulate_batch` rebuilds internally:
+/// Times the evaluation scaffolding every admission rebuilds internally:
 /// the causal prefill attention matrix and the exact reference outputs.
 fn scaffold_seconds(workloads: &[DecodeWorkload]) -> f64 {
     let start = Instant::now();
@@ -159,31 +159,35 @@ struct SchedulerRow {
 }
 
 /// Times the *scheduler* (decode) phase for one scheduler choice,
-/// returning median tokens/sec over [`REPS`] runs. Sessions are admitted
+/// returning median tokens/sec over [`REPS`] runs. Sessions are prefilled
 /// untimed each repetition: admission rebuilds the `O(prefill²·dim)`
 /// evaluation scaffolding serially on the calling thread, which would
 /// otherwise Amdahl-dominate the comparison exactly the way the
 /// `scaffold_seconds` subtraction corrects the sequential sweep above.
+/// The timed phase ticks [`Scheduler::step_once`](unicaim_kvcache::Scheduler::step_once)
+/// until every session is done — the decode ticks a closed batch runs.
 fn scheduler_tokens_per_sec(
     workloads: &[DecodeWorkload],
     spec: &PolicySpec,
     scheduler: SchedulerSpec,
-    batch_size: usize,
 ) -> f64 {
-    let engine = DecodeEngine::new(EngineConfig::new(SHARE * batch_size, K));
+    let config = SimConfig::new(SHARE, K);
     let scheduler = scheduler.build();
+    let tokens: usize = workloads.iter().map(|w| w.decode_queries.len()).sum();
     let mut samples = Vec::with_capacity(REPS);
-    let mut tokens = 0;
     for _ in 0..REPS {
-        let mut sessions = engine
-            .admit(workloads, &mut |_| spec.build())
+        let mut sessions = workloads
+            .iter()
+            .map(|w| DecodeSession::prefill_spec(w, spec, &config))
+            .collect::<Result<Vec<_>, _>>()
             .expect("shipped policies uphold the harness contract");
         let start = Instant::now();
-        scheduler
-            .run(&mut sessions)
-            .expect("shipped policies uphold the harness contract");
+        while sessions.iter().any(|s| !s.is_done()) {
+            scheduler
+                .step_once(&mut sessions)
+                .expect("shipped policies uphold the harness contract");
+        }
         samples.push(start.elapsed().as_secs_f64());
-        tokens = engine.collect(sessions).total_steps;
     }
     tokens as f64 / median(&samples)
 }
@@ -212,13 +216,11 @@ fn scheduler_comparison(host: &HostProvenance) -> Vec<SchedulerRow> {
     for spec in policy_menu() {
         for &batch_size in &[2usize, 8, 16] {
             let workloads = mixed_batch(batch_size, BASE_PREFILL, DECODE_LEN, 7);
-            let sequential =
-                scheduler_tokens_per_sec(&workloads, &spec, SchedulerSpec::Sequential, batch_size);
+            let sequential = scheduler_tokens_per_sec(&workloads, &spec, SchedulerSpec::Sequential);
             let pooled = scheduler_tokens_per_sec(
                 &workloads,
                 &spec,
                 SchedulerSpec::WorkerPool { workers: 0 },
-                batch_size,
             );
             let speedup = pooled / sequential.max(1e-12);
             println!(
@@ -308,7 +310,7 @@ fn main() {
         let name = spec.name();
         for &batch_size in &[1usize, 2, 4, 8, 16] {
             let workloads = mixed_batch(batch_size, BASE_PREFILL, DECODE_LEN, 7);
-            let config = BatchConfig::new(SHARE * batch_size, K);
+            let config = ServeConfig::new(SHARE * batch_size, SHARE, K);
             let mut sims = Vec::with_capacity(REPS);
             let mut scaffolds = Vec::with_capacity(REPS);
             let mut decodes = Vec::with_capacity(REPS);
@@ -316,8 +318,14 @@ fn main() {
             for _ in 0..REPS {
                 let scaffold = scaffold_seconds(&workloads);
                 let start = Instant::now();
-                let res = simulate_batch(&workloads, &mut |_| spec.build(), &config)
+                let mut core = ServeCore::new(config).expect("valid serve config");
+                for w in &workloads {
+                    core.submit(w, spec.clone(), 0, Priority::Normal)
+                        .expect("shipped policies uphold the harness contract");
+                }
+                core.drain()
                     .expect("shipped policies uphold the harness contract");
+                let res = core.report().batch;
                 let sim = start.elapsed().as_secs_f64();
                 sims.push(sim);
                 scaffolds.push(scaffold);
@@ -357,7 +365,7 @@ fn main() {
     }
 
     println!(
-        "The sweep above runs the Sequential (round-robin) scheduler, so\n\
+        "The sweep above runs the Sequential scheduler, so\n\
          end-to-end time grows roughly linearly with batch size; dec-tok/s\n\
          isolates the per-step decode loop by subtracting the separately\n\
          timed O(prefill^2) evaluation scaffolding (reference + prefill\n\

@@ -17,8 +17,8 @@
 //! * `kernels` — the flat-layout kernels and the CAM search underneath
 //!   `UniCaimArray::cam_top_k`;
 //! * `policies` — full software decode simulations per policy;
-//! * `experiments` — the hardware engine loop, batched decode, and the
-//!   heavier figure/table sweeps;
+//! * `experiments` — the hardware engine loop, closed-batch decode on the
+//!   serving core, and the heavier figure/table sweeps;
 //! * `saturation` — tick-domain latency/throughput percentiles of the
 //!   shared serving scenario ([`crate::serving`]);
 //! * `prefix_reuse` — shared-prefix splice counters and the modeled
@@ -42,15 +42,15 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use unicaim_attention::kernels::{self, QuantRowView, RowView};
-use unicaim_attention::workloads::{mixed_batch, needle_task};
+use unicaim_attention::workloads::{mixed_batch, needle_task, DecodeWorkload};
 use unicaim_attention::{KvStore, Matrix, Precision};
 use unicaim_core::{
     ArrayConfig, CellPrecision, EngineConfig, KeyLevel, QueryLevel, QueryPrecision, UniCaimArray,
     UniCaimEngine,
 };
 use unicaim_kvcache::{
-    prefill_attention_matrix, simulate_batch, simulate_decode, BatchConfig, DecodeEngine,
-    PolicySpec, SchedulerSpec, SimConfig,
+    prefill_attention_matrix, simulate_decode, PolicySpec, Priority, SchedulerSpec, ServeConfig,
+    ServeCore, ServeReport, SimConfig,
 };
 
 /// How a case produces its figure (see the module docs for the gating
@@ -455,6 +455,22 @@ fn policies_suite() -> Vec<Case> {
     ]
 }
 
+/// Runs `workloads` as a closed batch on a [`ServeCore`]: 96 slots and a
+/// hybrid policy per sequence, top-32, every request submitted at tick 0
+/// and drained under `scheduler`.
+fn closed_batch(workloads: &[DecodeWorkload], scheduler: SchedulerSpec) -> ServeReport {
+    let config = ServeConfig::new(96 * workloads.len(), 96, 32).with_scheduler(scheduler);
+    let spec = PolicySpec::hybrid_for_share(96, 16, 32);
+    let mut core = ServeCore::new(config).expect("valid serve config");
+    for workload in workloads {
+        core.submit(workload, spec.clone(), 0, Priority::Normal)
+            .expect("benchmark policies uphold the contract");
+    }
+    core.drain()
+        .expect("benchmark policies uphold the contract");
+    core.report()
+}
+
 fn experiments_suite() -> Vec<Case> {
     let engine_workload = needle_task(256, 32, 5);
     let batch_workloads = mixed_batch(4, 192, 24, 7);
@@ -476,25 +492,15 @@ fn experiments_suite() -> Vec<Case> {
             std::hint::black_box(engine.run(&engine_workload).unwrap());
         }),
         Case::new("simulate_batch/4x192/hybrid", 3, move || {
-            let config = BatchConfig::new(96 * 4, 32);
-            let spec = PolicySpec::hybrid_for_share(96, 16, 32);
-            std::hint::black_box(
-                simulate_batch(&batch_workloads, &mut |_| spec.build(), &config)
-                    .expect("benchmark policies uphold the contract"),
-            );
+            std::hint::black_box(closed_batch(&batch_workloads, SchedulerSpec::Sequential));
         }),
         Case::new("decode_engine/worker_pool/4x192/hybrid", 3, {
             let workloads = mixed_batch(4, 192, 24, 7);
             move || {
-                let engine = DecodeEngine::new(
-                    unicaim_kvcache::EngineConfig::new(96 * 4, 32)
-                        .with_scheduler(SchedulerSpec::WorkerPool { workers: 0 }),
-                );
-                std::hint::black_box(
-                    engine
-                        .run(&workloads, &PolicySpec::hybrid_for_share(96, 16, 32))
-                        .expect("benchmark policies uphold the contract"),
-                );
+                std::hint::black_box(closed_batch(
+                    &workloads,
+                    SchedulerSpec::WorkerPool { workers: 0 },
+                ));
             }
         }),
         Case::new("table2_aedp", 5, move || {

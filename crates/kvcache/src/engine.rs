@@ -1,105 +1,51 @@
-//! The batched decode engine: admits sequences as [`DecodeSession`]s,
-//! drives them with a pluggable [`Scheduler`], and retires them into a
-//! [`BatchResult`].
+//! The per-tick schedulers a [`ServeCore`](crate::ServeCore) advances its
+//! running [`DecodeSession`]s with.
 //!
 //! Two schedulers ship:
 //!
-//! * [`Sequential`] — the single-threaded round-robin tick loop the
-//!   original `simulate_batch` ran, kept bit-identical (property-tested);
+//! * [`Sequential`] — one in-order pass over the running sessions;
 //! * [`WorkerPool`] — fans the per-sequence decode work across a vendored
-//!   fixed thread pool. Sequences in a batch are fully independent (the
-//!   shared slot budget is statically partitioned, and policy state is
-//!   per-sequence), so any schedule produces the same per-sequence
-//!   results; the shared-array peak occupancy is reconstructed from each
-//!   session's deterministic [resident
-//!   trace](DecodeSession::resident_trace), making the two schedulers'
-//!   [`BatchResult`]s identical to the bit.
-//!
-//! The engine is the serving-shaped entry point the run-to-completion
-//! wrappers ([`simulate_decode`](crate::simulate_decode),
-//! [`simulate_batch`](crate::simulate_batch)) are now thin layers over.
+//!   fixed thread pool. Sequences are fully independent (each owns its
+//!   slot share and its policy state), so any schedule produces the same
+//!   per-sequence results, and the two schedulers'
+//!   [`ServeReport`](crate::ServeReport)s are identical to the bit.
 
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-use unicaim_attention::workloads::DecodeWorkload;
 
-use crate::batch::{aggregate, BatchConfig, BatchResult};
 use crate::error::HarnessError;
-use crate::policy::Policy;
 use crate::session::DecodeSession;
-use crate::spec::PolicySpec;
 
-/// Drives a set of admitted sessions to completion.
+/// Advances a set of admitted sessions one serving tick at a time.
 ///
-/// Implementations decide *when* each session's next step runs (strict
-/// round-robin ticks, thread-pool fan-out, …) but not *what* a step does —
+/// Implementations decide *when* each session's next step runs (an
+/// in-order pass, thread-pool fan-out, …) but not *what* a step does —
 /// that is fixed by [`DecodeSession::step`], which is why every scheduler
 /// produces identical per-sequence results.
 pub trait Scheduler: Send + Sync {
-    /// A short display name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Runs every session to completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`HarnessError`] any session's step raised
-    /// (other sessions may be left mid-flight).
-    fn run(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError>;
-
     /// Advances every unfinished session by exactly one decode step — one
     /// *serving tick*. The continuous-batching
-    /// [`ServeCore`](crate::ServeCore) drives its running set through this
-    /// instead of [`run`](Scheduler::run), so admissions and preemptions
-    /// can interleave between ticks. Finished sessions are skipped, and
-    /// sessions are independent, so any schedule of the per-session steps
-    /// yields identical results; the default is a sequential in-order
-    /// pass.
+    /// [`ServeCore`](crate::ServeCore) drives its running set through this,
+    /// so admissions and preemptions can interleave between ticks.
+    /// Finished sessions are skipped, and sessions are independent, so any
+    /// schedule of the per-session steps yields identical results; the
+    /// default is a sequential in-order pass.
     ///
     /// # Errors
     ///
     /// Propagates the first [`HarnessError`] any session's step raised.
     fn step_once(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
-        for session in sessions.iter_mut() {
-            if !session.is_done() {
-                session.step()?;
-            }
-        }
-        Ok(())
+        sessions.iter_mut().try_for_each(step_unfinished)
     }
 }
 
-/// Single-threaded round-robin schedule: global tick `t` runs step `t` of
-/// every sequence that still has queries left, so ragged batches drain the
-/// way the original `simulate_batch` loop drained them.
+/// Single-threaded schedule: each tick steps every unfinished session in
+/// order (the trait's default [`Scheduler::step_once`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sequential;
 
-impl Scheduler for Sequential {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn run(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
-        // One tick advances every unfinished session by one step — for
-        // freshly admitted sessions this is exactly the original
-        // `simulate_batch` loop; sessions the caller already stepped
-        // partway (the incremental API) simply finish earlier.
-        loop {
-            let mut stepped = false;
-            for session in sessions.iter_mut() {
-                if !session.is_done() {
-                    session.step()?;
-                    stepped = true;
-                }
-            }
-            if !stepped {
-                return Ok(());
-            }
-        }
-    }
-}
+impl Scheduler for Sequential {}
 
 /// Fans independent per-sequence decode across a fixed worker pool (the
 /// vendored `scoped_threadpool`): each worker claims the next unfinished
@@ -109,9 +55,8 @@ impl Scheduler for Sequential {
 ///
 /// Per-sequence results are identical to [`Sequential`]'s because nothing
 /// is shared between sequences mid-run. The pool spawns and joins its
-/// threads on every [`run`](Scheduler::run) / [`step_once`](Scheduler::step_once)
-/// call, so it only pays off when each call carries enough work to
-/// amortise that cost.
+/// threads on every [`step_once`](Scheduler::step_once) call, so it only
+/// pays off when each tick carries enough work to amortise that cost.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerPool {
     workers: usize,
@@ -136,32 +81,27 @@ impl WorkerPool {
                 .unwrap_or(1),
         )
     }
+}
 
-    /// Number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
+/// Steps `session` once unless it is already done.
+fn step_unfinished(session: &mut DecodeSession<'_, '_>) -> Result<(), HarnessError> {
+    if !session.is_done() {
+        session.step()?;
     }
+    Ok(())
+}
 
-    /// Applies `run_one` to every session, fanning across
-    /// `min(workers, sessions)` pool threads (inline when that is 1). The
-    /// shared skeleton under both [`Scheduler::run`] (run to completion)
-    /// and [`Scheduler::step_once`] (advance one tick): workers claim the
-    /// next session off a queue, and the first error wins and stops the
-    /// claimers. Sessions are `Send` (policies are `Send` by trait bound),
-    /// so handing `&mut DecodeSession` to a scoped worker is safe.
-    fn fan_out<'w, 'p>(
-        &self,
-        sessions: &mut [DecodeSession<'w, 'p>],
-        run_one: impl Fn(&mut DecodeSession<'w, 'p>) -> Result<(), HarnessError> + Sync,
-    ) -> Result<(), HarnessError> {
+impl Scheduler for WorkerPool {
+    /// Fans the tick across `min(workers, sessions)` pool threads (inline
+    /// when that is 1): workers claim the next session off a queue, and
+    /// the first error wins and stops the claimers. Sessions are `Send`
+    /// (policies are `Send` by trait bound), so handing
+    /// `&mut DecodeSession` to a scoped worker is safe.
+    fn step_once(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
         let workers = self.workers.min(sessions.len().max(1));
         if workers <= 1 {
             // No parallelism to exploit; skip the pool machinery.
-            for session in sessions.iter_mut() {
-                run_one(session)?;
-            }
-            return Ok(());
+            return sessions.iter_mut().try_for_each(step_unfinished);
         }
         // Both mutexes guard single-step state transitions (an iterator
         // `next`, an `Option` insert), so a worker panicking elsewhere
@@ -184,7 +124,7 @@ impl WorkerPool {
                     }
                     let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
                     let Some(session) = claimed else { break };
-                    if let Err(e) = run_one(session) {
+                    if let Err(e) = step_unfinished(session) {
                         first_error
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner)
@@ -204,29 +144,11 @@ impl WorkerPool {
     }
 }
 
-impl Scheduler for WorkerPool {
-    fn name(&self) -> &'static str {
-        "worker_pool"
-    }
-
-    fn run(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
-        self.fan_out(sessions, DecodeSession::run_to_completion)
-    }
-
-    fn step_once(&self, sessions: &mut [DecodeSession<'_, '_>]) -> Result<(), HarnessError> {
-        self.fan_out(sessions, |session| {
-            if !session.is_done() {
-                session.step()?;
-            }
-            Ok(())
-        })
-    }
-}
-
-/// Serializable scheduler choice for [`EngineConfig`].
+/// Serializable scheduler choice for
+/// [`ServeConfig`](crate::ServeConfig::scheduler).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchedulerSpec {
-    /// [`Sequential`] round-robin ticks.
+    /// [`Sequential`] in-order ticks.
     Sequential,
     /// [`WorkerPool`] with the given thread count; `workers = 0` means
     /// "size to the machine's available parallelism".
@@ -250,335 +172,30 @@ impl SchedulerSpec {
     }
 }
 
-/// Builder-style configuration of a [`DecodeEngine`]: the shared-budget
-/// batch shape plus the scheduler choice.
-///
-/// ```
-/// use unicaim_kvcache::{EngineConfig, SchedulerSpec};
-///
-/// let config = EngineConfig::new(768, 32)
-///     .with_prefill_budget(80)
-///     .with_scheduler(SchedulerSpec::WorkerPool { workers: 0 });
-/// assert_eq!(config.batch.total_capacity, 768);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EngineConfig {
-    /// Shared slot budget, top-k width, and per-sequence prefill budget.
-    pub batch: BatchConfig,
-    /// Which scheduler drives the sessions (default [`Sequential`]).
-    pub scheduler: SchedulerSpec,
-}
-
-impl EngineConfig {
-    /// A sequentially scheduled engine sharing `total_capacity` slots
-    /// across the batch with top-`k` selection.
-    #[must_use]
-    pub fn new(total_capacity: usize, k: usize) -> Self {
-        Self::from_batch(BatchConfig::new(total_capacity, k))
-    }
-
-    /// Wraps an existing [`BatchConfig`] (sequential scheduling).
-    #[must_use]
-    pub fn from_batch(batch: BatchConfig) -> Self {
-        Self {
-            batch,
-            scheduler: SchedulerSpec::Sequential,
-        }
-    }
-
-    /// Sets the per-sequence prefill keep budget (builder-style).
-    #[must_use]
-    pub fn with_prefill_budget(mut self, budget: usize) -> Self {
-        self.batch.prefill_budget = Some(budget);
-        self
-    }
-
-    /// Sets the key-arena storage precision every admitted session's store
-    /// runs at (builder-style; see
-    /// [`SimConfig::precision`](crate::SimConfig::precision)).
-    #[must_use]
-    pub fn with_precision(mut self, precision: unicaim_attention::Precision) -> Self {
-        self.batch.precision = precision;
-        self
-    }
-
-    /// Sets the scheduler (builder-style).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerSpec) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-}
-
-/// The batched decode engine: admit → schedule → retire.
-///
-/// ```
-/// use unicaim_attention::workloads::mixed_batch;
-/// use unicaim_kvcache::{DecodeEngine, EngineConfig, PolicySpec};
-///
-/// let workloads = mixed_batch(4, 64, 8, 17);
-/// let engine = DecodeEngine::new(EngineConfig::new(4 * 24, 8));
-/// let result = engine
-///     .run(&workloads, &PolicySpec::hybrid_for_share(24, 4, 8))
-///     .unwrap();
-/// assert_eq!(result.n_sequences, 4);
-/// ```
-pub struct DecodeEngine {
-    config: EngineConfig,
-    scheduler: Box<dyn Scheduler>,
-}
-
-impl DecodeEngine {
-    /// Creates the engine, building the scheduler named by the config.
-    #[must_use]
-    pub fn new(config: EngineConfig) -> Self {
-        Self {
-            scheduler: config.scheduler.build(),
-            config,
-        }
-    }
-
-    /// Creates the engine with a caller-provided scheduler implementation
-    /// (the config's [`SchedulerSpec`] is kept for reporting only).
-    #[must_use]
-    pub fn with_scheduler(config: EngineConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        Self { config, scheduler }
-    }
-
-    /// The engine's configuration.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The active scheduler's display name.
-    #[must_use]
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
-    }
-
-    /// Admits every workload as a prefillled [`DecodeSession`] under its
-    /// slot share, minting one policy per sequence from `factory`.
-    ///
-    /// # Errors
-    ///
-    /// [`HarnessError::EmptyBatch`] for zero sequences or zero total
-    /// decode steps; otherwise the [`DecodeSession::prefill`] contract.
-    pub fn admit<'w>(
-        &self,
-        workloads: &'w [DecodeWorkload],
-        factory: &mut dyn FnMut(usize) -> Box<dyn Policy>,
-    ) -> Result<Vec<DecodeSession<'w, 'static>>, HarnessError> {
-        let n = workloads.len();
-        if n == 0 || workloads.iter().all(|w| w.decode_queries.is_empty()) {
-            return Err(HarnessError::EmptyBatch);
-        }
-        workloads
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                DecodeSession::prefill(w, factory(i), &self.config.batch.sequence_config(n, i))
-            })
-            .collect()
-    }
-
-    /// Retires driven sessions into the aggregate [`BatchResult`]
-    /// (per-sequence results, step-weighted batch means, and the shared
-    /// array's peak occupancy reconstructed from the resident traces).
-    #[must_use]
-    pub fn collect(&self, sessions: Vec<DecodeSession<'_, '_>>) -> BatchResult {
-        // Peak shared occupancy: tick t's occupancy is the sum over
-        // sequences of the resident count after their step t (sequences
-        // already drained hold their final count) — the same quantity the
-        // round-robin loop used to sample after every tick, but computed
-        // from per-sequence traces so it is schedule-independent.
-        let max_ticks = sessions
-            .iter()
-            .map(|s| s.resident_trace().len().saturating_sub(1))
-            .max()
-            .unwrap_or(0);
-        let peak_resident = (0..=max_ticks)
-            .map(|t| {
-                sessions
-                    .iter()
-                    .map(|s| {
-                        let trace = s.resident_trace();
-                        trace[t.min(trace.len() - 1)]
-                    })
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        let per_sequence = sessions.into_iter().map(DecodeSession::finish).collect();
-        aggregate(
-            per_sequence,
-            self.config.batch.total_capacity,
-            peak_resident,
-        )
-    }
-
-    /// Runs `workloads` to completion, one fresh `spec`-built policy per
-    /// sequence.
-    ///
-    /// # Errors
-    ///
-    /// [`HarnessError::InvalidSpec`] for an unbuildable spec **or** one
-    /// whose budget does not fit the per-sequence slot share
-    /// ([`PolicySpec::validate_for`] — a hybrid spec with `H + M`
-    /// different from its share would silently mis-prune). A ragged
-    /// split (`total_capacity` not divisible by the batch size) produces
-    /// exactly two share sizes one slot apart; a single spec cannot
-    /// match both, so it is accepted when it matches either (the one-slot
-    /// deviation on the other sequences is inherent to the even split,
-    /// not a misconfiguration). Otherwise the [`DecodeEngine::run_with`]
-    /// contract.
-    pub fn run(
-        &self,
-        workloads: &[DecodeWorkload],
-        spec: &PolicySpec,
-    ) -> Result<BatchResult, HarnessError> {
-        let n = workloads.len();
-        if n == 0 {
-            spec.validate()?;
-        } else {
-            // Shares descend by at most one slot from sequence 0 to n−1;
-            // validating against both extremes covers every sequence
-            // (`validate_for` includes `validate`). When both fail, the
-            // widest share's error is the one reported.
-            spec.validate_for(&self.config.batch.sequence_config(n, 0))
-                .or_else(|widest_err| {
-                    spec.validate_for(&self.config.batch.sequence_config(n, n - 1))
-                        .map_err(|_| widest_err)
-                })?;
-        }
-        self.run_with(workloads, &mut |_| spec.build())
-    }
-
-    /// Runs `workloads` to completion with a caller-supplied per-sequence
-    /// policy factory (called once per sequence index).
-    ///
-    /// # Errors
-    ///
-    /// [`HarnessError::EmptyBatch`] for zero sequences or zero total
-    /// decode steps, and any harness ↔ policy contract violation raised
-    /// during prefill or stepping.
-    pub fn run_with(
-        &self,
-        workloads: &[DecodeWorkload],
-        factory: &mut dyn FnMut(usize) -> Box<dyn Policy>,
-    ) -> Result<BatchResult, HarnessError> {
-        let mut sessions = self.admit(workloads, factory)?;
-        self.scheduler.run(&mut sessions)?;
-        Ok(self.collect(sessions))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policies::StreamingLlm;
-    use unicaim_attention::workloads::mixed_batch;
+    use crate::policy::Policy;
+    use crate::sim::SimConfig;
+    use unicaim_attention::workloads::{mixed_batch, DecodeWorkload};
 
     fn sample_batch() -> Vec<DecodeWorkload> {
         mixed_batch(5, 64, 8, 13)
     }
 
-    #[test]
-    fn sequential_and_worker_pool_agree_exactly() {
-        let workloads = sample_batch();
-        let spec = PolicySpec::hybrid_for_share(24, 4, 8);
-        let seq = DecodeEngine::new(EngineConfig::new(5 * 24, 8))
-            .run(&workloads, &spec)
-            .unwrap();
-        let par = DecodeEngine::new(
-            EngineConfig::new(5 * 24, 8).with_scheduler(SchedulerSpec::WorkerPool { workers: 3 }),
-        )
-        .run(&workloads, &spec)
-        .unwrap();
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn worker_pool_auto_sizing_runs() {
-        let workloads = sample_batch();
-        let engine = DecodeEngine::new(
-            EngineConfig::new(5 * 24, 8).with_scheduler(SchedulerSpec::WorkerPool { workers: 0 }),
-        );
-        assert_eq!(engine.scheduler_name(), "worker_pool");
-        let r = engine
-            .run(&workloads, &PolicySpec::StreamingLlm { n_sinks: 2 })
-            .unwrap();
-        assert_eq!(r.n_sequences, 5);
-    }
-
-    #[test]
-    fn empty_batch_is_a_typed_error() {
-        let engine = DecodeEngine::new(EngineConfig::new(32, 8));
-        let err = engine.run(&[], &PolicySpec::OracleTopK).err().unwrap();
-        assert_eq!(err, HarnessError::EmptyBatch);
-
-        // Sequences with no decode steps at all are an equally vacuous
-        // batch — rejected instead of producing an all-zero result.
-        let mut stepless = unicaim_attention::workloads::needle_task(32, 4, 1);
-        stepless.decode_queries.clear();
-        let err = engine
-            .run(std::slice::from_ref(&stepless), &PolicySpec::OracleTopK)
-            .err()
-            .unwrap();
-        assert_eq!(err, HarnessError::EmptyBatch);
-    }
-
-    #[test]
-    fn invalid_spec_is_rejected_before_any_work() {
-        let workloads = sample_batch();
-        let engine = DecodeEngine::new(EngineConfig::new(5 * 24, 8));
-        assert!(matches!(
-            engine.run(&workloads, &PolicySpec::BlockTopK { block: 0 }),
-            Err(HarnessError::InvalidSpec { .. })
-        ));
-    }
-
-    #[test]
-    fn mismatched_hybrid_budget_is_rejected_in_both_directions() {
-        let workloads = sample_batch();
-        let engine = DecodeEngine::new(EngineConfig::new(5 * 24, 8));
-        // Per-sequence share is 24 slots; H + M must equal it.
-        engine
-            .run(&workloads, &PolicySpec::hybrid_for_share(24, 4, 8))
-            .unwrap();
-        for bad in [
-            PolicySpec::hybrid_for_share(32, 4, 8), // over-subscribed
-            PolicySpec::hybrid_for_share(16, 4, 8), // under-subscribed
-        ] {
-            assert!(
-                matches!(
-                    engine.run(&workloads, &bad),
-                    Err(HarnessError::InvalidSpec { .. })
-                ),
-                "{bad:?} must be rejected against a 24-slot share"
-            );
-        }
-    }
-
-    #[test]
-    fn ragged_shares_accept_a_hybrid_matching_either_extreme() {
-        // 100 slots over 5 sequences: shares are 20,20,20,20,20 — make it
-        // ragged: 103 slots gives shares 21,21,21,20,20. A single hybrid
-        // spec cannot equal both; matching either share must be accepted
-        // (the one-slot deviation is inherent to the even split), while a
-        // genuinely mismatched budget still fails.
-        let workloads = sample_batch();
-        let engine = DecodeEngine::new(EngineConfig::new(103, 8));
-        engine
-            .run(&workloads, &PolicySpec::hybrid_for_share(21, 4, 8))
-            .unwrap();
-        engine
-            .run(&workloads, &PolicySpec::hybrid_for_share(20, 4, 8))
-            .unwrap();
-        assert!(matches!(
-            engine.run(&workloads, &PolicySpec::hybrid_for_share(24, 4, 8)),
-            Err(HarnessError::InvalidSpec { .. })
-        ));
+    /// Prefills one session per workload under a 24-slot share, minting
+    /// each sequence's policy from `factory`.
+    fn prefill_all<'w>(
+        workloads: &'w [DecodeWorkload],
+        factory: impl Fn(usize) -> Box<dyn Policy>,
+    ) -> Vec<DecodeSession<'w, 'static>> {
+        let config = SimConfig::new(24, 8);
+        workloads
+            .iter()
+            .enumerate()
+            .map(|(i, w)| DecodeSession::prefill(w, factory(i), &config).unwrap())
+            .collect()
     }
 
     #[test]
@@ -612,19 +229,14 @@ mod tests {
         }
 
         let workloads = sample_batch();
-        let engine = DecodeEngine::new(
-            EngineConfig::new(5 * 24, 8).with_scheduler(SchedulerSpec::WorkerPool { workers: 2 }),
-        );
-        let err = engine
-            .run_with(&workloads, &mut |i| {
-                if i == 3 {
-                    Box::new(Broken)
-                } else {
-                    Box::new(StreamingLlm::new(2))
-                }
-            })
-            .err()
-            .unwrap();
+        let mut sessions = prefill_all(&workloads, |i| {
+            if i == 3 {
+                Box::new(Broken)
+            } else {
+                Box::new(StreamingLlm::new(2))
+            }
+        });
+        let err = WorkerPool::new(2).step_once(&mut sessions).unwrap_err();
         assert_eq!(
             err,
             HarnessError::SelectedNonResident {
@@ -635,40 +247,25 @@ mod tests {
     }
 
     #[test]
-    fn sequential_finishes_partially_stepped_sessions() {
-        // A caller may step admitted sessions incrementally before handing
-        // them to a scheduler; Sequential must finish them rather than
-        // stepping past the end.
-        let workloads = sample_batch();
-        let spec = PolicySpec::StreamingLlm { n_sinks: 2 };
-        let engine = DecodeEngine::new(EngineConfig::new(5 * 24, 8));
-        let expected = engine.run(&workloads, &spec).unwrap();
-
-        let mut sessions = engine.admit(&workloads, &mut |_| spec.build()).unwrap();
-        for _ in 0..3 {
-            sessions[1].step().unwrap();
-        }
-        sessions[2].run_to_completion().unwrap();
-        Sequential.run(&mut sessions).unwrap();
-        assert!(sessions.iter().all(DecodeSession::is_done));
-        assert_eq!(engine.collect(sessions), expected);
-    }
-
-    #[test]
     fn step_once_ticks_every_unfinished_session_in_lockstep() {
         // Driving the batch tick-by-tick through step_once (on either
-        // scheduler) must reproduce the run-to-completion result exactly,
-        // with every session advancing one step per tick until it drains.
+        // scheduler) must advance every session one step per tick until it
+        // drains, and finish every session exactly as a solo run would.
         let workloads = sample_batch();
-        let spec = PolicySpec::StreamingLlm { n_sinks: 2 };
-        let engine = DecodeEngine::new(EngineConfig::new(5 * 24, 8));
-        let expected = engine.run(&workloads, &spec).unwrap();
+        let factory = |_| Box::new(StreamingLlm::new(2)) as Box<dyn Policy>;
+        let expected: Vec<_> = prefill_all(&workloads, factory)
+            .into_iter()
+            .map(|mut s| {
+                s.run_to_completion().unwrap();
+                s.finish()
+            })
+            .collect();
 
         for scheduler in [
             Box::new(Sequential) as Box<dyn Scheduler>,
             Box::new(WorkerPool::new(3)),
         ] {
-            let mut sessions = engine.admit(&workloads, &mut |_| spec.build()).unwrap();
+            let mut sessions = prefill_all(&workloads, factory);
             let mut ticks = 0usize;
             while sessions.iter().any(|s| !s.is_done()) {
                 let before: Vec<usize> = sessions.iter().map(DecodeSession::next_step).collect();
@@ -688,27 +285,9 @@ mod tests {
                     .max()
                     .unwrap()
             );
-            assert_eq!(engine.collect(sessions), expected);
+            let finished: Vec<_> = sessions.into_iter().map(DecodeSession::finish).collect();
+            assert_eq!(finished, expected);
         }
-    }
-
-    #[test]
-    fn collect_reconstructs_round_robin_peak() {
-        // Drive sessions in a deliberately non-round-robin order (each to
-        // completion, one after another) and check the peak matches the
-        // sequential engine's.
-        let workloads = sample_batch();
-        let spec = PolicySpec::StreamingLlm { n_sinks: 2 };
-        let config = EngineConfig::new(5 * 20, 8);
-        let engine = DecodeEngine::new(config);
-        let expected = engine.run(&workloads, &spec).unwrap();
-
-        let mut sessions = engine.admit(&workloads, &mut |_| spec.build()).unwrap();
-        for session in sessions.iter_mut().rev() {
-            session.run_to_completion().unwrap();
-        }
-        let out_of_order = engine.collect(sessions);
-        assert_eq!(out_of_order, expected);
     }
 
     #[test]

@@ -11,13 +11,12 @@ use serde::{Deserialize, Serialize};
 /// Each variant names the offending token and, where one exists, the decode
 /// step at which the violation happened. The drivers
 /// ([`simulate_decode`](crate::simulate_decode),
-/// [`simulate_batch`](crate::simulate_batch), [`DecodeEngine`]) surface
-/// these instead of panicking, so a broken policy still cannot hide behind
-/// quietly degraded metrics — but a caller can now decide what to do about
-/// it.
+/// [`ServeCore`](crate::ServeCore),
+/// [`LayerStackSession`](crate::LayerStackSession)) surface these instead
+/// of panicking, so a broken policy still cannot hide behind quietly
+/// degraded metrics — but a caller can now decide what to do about it.
 ///
 /// [`Policy`]: crate::Policy
-/// [`DecodeEngine`]: crate::DecodeEngine
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HarnessError {
     /// The policy's prefill keep set does not fit the cache capacity.
@@ -74,9 +73,10 @@ pub enum HarnessError {
         /// Total number of decode steps the session had.
         steps: usize,
     },
-    /// A batched run was requested with no sequences, or with sequences
-    /// that have no decode steps at all (a vacuous result).
-    EmptyBatch,
+    /// [`ServeCore::submit`](crate::ServeCore::submit) was given a
+    /// workload with no decode steps (a request that could never produce
+    /// a token).
+    EmptyWorkload,
     /// [`PolicySpec::from_name`](crate::PolicySpec::from_name) was given a
     /// name outside the registry.
     UnknownPolicy {
@@ -169,9 +169,7 @@ impl core::fmt::Display for HarnessError {
             HarnessError::SessionExhausted { steps } => {
                 write!(f, "all {steps} decode steps of this session are already done")
             }
-            HarnessError::EmptyBatch => {
-                write!(f, "batch contains no sequences (or no decode steps) to run")
-            }
+            HarnessError::EmptyWorkload => write!(f, "workload has no decode steps to run"),
             HarnessError::UnknownPolicy { name } => write!(
                 f,
                 "unknown policy `{name}` (expected one of {:?})",
@@ -218,9 +216,9 @@ mod tests {
         let e = HarnessError::SelectedNonResident { step: 3, token: 42 };
         let msg = e.to_string();
         assert!(msg.contains("42") && msg.contains("step 3"), "{msg}");
-        assert!(HarnessError::EmptyBatch
+        assert!(HarnessError::EmptyWorkload
             .to_string()
-            .contains("no sequences"));
+            .contains("no decode steps"));
         let u = HarnessError::UnknownPolicy {
             name: "nope".into(),
         };
@@ -243,7 +241,7 @@ mod tests {
                 capacity: 8,
             },
             HarnessError::SelectedNonResident { step: 1, token: 2 },
-            HarnessError::EmptyBatch,
+            HarnessError::EmptyWorkload,
             HarnessError::UnknownPolicy { name: "x".into() },
             HarnessError::InvalidServeConfig {
                 reason: "session share of 0 slots".into(),

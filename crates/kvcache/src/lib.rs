@@ -24,15 +24,15 @@
 //! * [`PolicySpec`] — a serializable registry entry that builds any
 //!   shipped policy from data ([`PolicySpec::build`],
 //!   [`PolicySpec::from_name`]);
-//! * [`DecodeEngine`] — the batched driver: admits N sequences against one
-//!   shared slot budget and drives them with a pluggable [`Scheduler`]
-//!   ([`Sequential`] round-robin, or the parallel [`WorkerPool`]);
-//! * [`ServeCore`] — the continuous-batching server core: bounded
-//!   per-tenant request queues, admission control against the shared slot
-//!   budget, priority preemption with re-prefill, sequences joining and
-//!   leaving mid-flight, and a [`ServerMetrics`] surface (queue depth,
+//! * [`ServeCore`] — the one multi-sequence driver, a continuous-batching
+//!   server core: bounded per-tenant request queues, admission control
+//!   against the shared slot budget, priority preemption with re-prefill,
+//!   sequences joining and leaving mid-flight, each tick stepped by a
+//!   pluggable [`Scheduler`] ([`Sequential`], or the parallel
+//!   [`WorkerPool`]), and a [`ServerMetrics`] surface (queue depth,
 //!   TTFT/latency percentiles, occupancy histogram) measured in
-//!   deterministic virtual-time ticks;
+//!   deterministic virtual-time ticks. A closed batch is every request
+//!   submitted at tick 0, then [`ServeCore::drain`];
 //! * [`PrefixRegistry`] — content-addressed shared-prefix cache: sessions
 //!   admitted through [`DecodeSession::prefill_shared`] (or a
 //!   registry-equipped serve core) splice refcounted pages of an
@@ -44,8 +44,9 @@
 //!   ([`Uniform`], [`DepthDecayed`], or the entropy-driven
 //!   [`EntropyDynamic`] which re-balances budgets mid-decode), each
 //!   allocator buildable from a serializable [`AllocatorSpec`];
-//! * [`simulate_decode`] / [`simulate_batch`] — thin run-to-completion
-//!   wrappers over the above for the batch-scientific call sites.
+//! * [`simulate_decode`] / [`simulate_stack`] — thin run-to-completion
+//!   wrappers over [`DecodeSession`] / [`LayerStackSession`] for the
+//!   batch-scientific call sites.
 //!
 //! # Quickstart
 //!
@@ -59,27 +60,30 @@
 //! assert!(result.salient_recall > 0.5);
 //! ```
 //!
-//! Serving-style, through the engine:
+//! A closed batch, serving-style: four sequences share 4 × 24 slots,
+//! all submitted at tick 0 and drained on a worker pool:
 //!
 //! ```
 //! use unicaim_attention::workloads::mixed_batch;
-//! use unicaim_kvcache::{DecodeEngine, EngineConfig, PolicySpec, SchedulerSpec};
+//! use unicaim_kvcache::{PolicySpec, Priority, SchedulerSpec, ServeConfig, ServeCore};
 //!
 //! let workloads = mixed_batch(4, 64, 8, 7);
-//! let engine = DecodeEngine::new(
-//!     EngineConfig::new(4 * 24, 8).with_scheduler(SchedulerSpec::WorkerPool { workers: 0 }),
-//! );
-//! let result = engine
-//!     .run(&workloads, &PolicySpec::hybrid_for_share(24, 4, 8))
-//!     .unwrap();
-//! assert_eq!(result.n_sequences, 4);
+//! let config = ServeConfig::new(4 * 24, 24, 8)
+//!     .with_scheduler(SchedulerSpec::WorkerPool { workers: 0 });
+//! let mut core = ServeCore::new(config).unwrap();
+//! let spec = PolicySpec::hybrid_for_share(24, 4, 8);
+//! for workload in &workloads {
+//!     core.submit(workload, spec.clone(), 0, Priority::Normal).unwrap();
+//! }
+//! core.drain().unwrap();
+//! let report = core.report();
+//! assert_eq!(report.batch.n_sequences, 4);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod allocator;
-mod batch;
 mod engine;
 mod error;
 mod metrics;
@@ -95,8 +99,7 @@ mod stack;
 pub mod policies;
 
 pub use allocator::{AllocatorSpec, BudgetAllocator, DepthDecayed, EntropyDynamic, Uniform};
-pub use batch::{simulate_batch, BatchConfig, BatchResult};
-pub use engine::{DecodeEngine, EngineConfig, Scheduler, SchedulerSpec, Sequential, WorkerPool};
+pub use engine::{Scheduler, SchedulerSpec, Sequential, WorkerPool};
 pub use error::HarnessError;
 pub use metrics::{MetricsSummary, ServerMetrics, OCCUPANCY_BUCKETS};
 pub use policies::{
@@ -105,13 +108,15 @@ pub use policies::{
 pub use policy::{accumulated_prefill_scores, top_indices_by_score, Policy, StepDecision};
 pub use prefix::{PrefixRegistry, PrefixStats};
 pub use score::ScoreTable;
-pub use serve::{CompletedRequest, Priority, ServeConfig, ServeCore, ServeReport, SubmitOutcome};
+pub use serve::{
+    BatchResult, CompletedRequest, Priority, ServeConfig, ServeCore, ServeReport, SubmitOutcome,
+};
 pub use session::{DecodeSession, ReuseReport, StepOutcome};
 pub use sim::{
     attention_over, prefill_attention_matrix, ratio_capacity, simulate_decode, SimConfig, SimResult,
 };
 pub use spec::PolicySpec;
 pub use stack::{simulate_stack, LayerStackSession, StackConfig, StackResult};
-// The key-arena storage precision every session/batch config carries
+// The key-arena storage precision every session/serve config carries
 // (defined next to `KvStore` in the attention crate).
 pub use unicaim_attention::Precision;

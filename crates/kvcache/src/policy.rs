@@ -26,10 +26,10 @@ pub struct StepDecision {
 ///
 /// # Harness ↔ policy contract
 ///
-/// Every driver ([`simulate_decode`](crate::simulate_decode), the batched
-/// [`simulate_batch`](crate::simulate_batch), and the incremental
-/// [`DecodeSession`](crate::DecodeSession) /
-/// [`DecodeEngine`](crate::DecodeEngine) serving API) holds the policy to
+/// Every driver ([`simulate_decode`](crate::simulate_decode), the
+/// incremental [`DecodeSession`](crate::DecodeSession), the
+/// [`ServeCore`](crate::ServeCore) serving API, and the
+/// [`LayerStackSession`](crate::LayerStackSession)) holds the policy to
 /// the following contract, enforced with typed
 /// [`HarnessError`](crate::HarnessError)s rather than silent repair, so a
 /// broken policy cannot hide behind quietly degraded metrics — but a

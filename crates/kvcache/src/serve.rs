@@ -1,13 +1,13 @@
 //! The continuous-batching serving core: a long-lived, multi-tenant front
 //! end over [`DecodeSession`]s.
 //!
-//! Where the [`DecodeEngine`](crate::DecodeEngine) admits a fixed batch and
-//! drives it to completion, a [`ServeCore`] runs **open-loop**: requests
-//! arrive over time, wait in bounded per-tenant queues, are admitted
-//! against the shared slot budget, decode alongside whatever else is
-//! mid-flight, and retire individually — there is no drain-to-empty
-//! barrier between arrivals (vLLM-style continuous batching). The moving
-//! parts:
+//! A [`ServeCore`] runs **open-loop**: requests arrive over time, wait in
+//! bounded per-tenant queues, are admitted against the shared slot
+//! budget, decode alongside whatever else is mid-flight, and retire
+//! individually — there is no drain-to-empty barrier between arrivals
+//! (vLLM-style continuous batching). A *closed* batch is the special case
+//! where every request is submitted at tick 0 and the core is drained.
+//! The moving parts:
 //!
 //! * **Admission control** — each admitted request is charged a fixed
 //!   session share ([`ServeConfig::session_slots`]) against
@@ -28,8 +28,8 @@
 //!   serving trace produces bit-identical numbers on every machine; wall
 //!   clock enters only when a bench times a whole run.
 //!
-//! Per-tick stepping goes through the same [`Scheduler`] seam the engine
-//! uses ([`Scheduler::step_once`]): sessions are independent, so the
+//! Per-tick stepping goes through the [`Scheduler`] seam
+//! ([`Scheduler::step_once`]): sessions are independent, so the
 //! `WorkerPool` fan-out produces the same report as `Sequential`, to the
 //! bit.
 
@@ -39,7 +39,6 @@ use serde::{Deserialize, Serialize};
 use unicaim_attention::workloads::{ArrivalEvent, DecodeWorkload};
 use unicaim_attention::Precision;
 
-use crate::batch::{aggregate, BatchResult};
 use crate::engine::{Scheduler, SchedulerSpec};
 use crate::error::HarnessError;
 use crate::metrics::{MetricsSummary, ServerMetrics};
@@ -216,13 +215,84 @@ pub struct CompletedRequest {
     pub result: SimResult,
 }
 
+/// The completed requests of a [`ServeReport`] folded into batch-level
+/// aggregates.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BatchResult {
+    /// Per-request results, in completion order — each is exactly what
+    /// [`simulate_decode`](crate::simulate_decode) would report for that
+    /// sequence under [`ServeConfig::session_config`].
+    pub per_sequence: Vec<SimResult>,
+    /// Number of completed requests.
+    pub n_sequences: usize,
+    /// The shared slot budget the core ran under.
+    pub total_capacity: usize,
+    /// Total decode steps executed across all completed requests (=
+    /// generated tokens, the numerator of a tokens/sec throughput figure).
+    pub total_steps: usize,
+    /// Total answer steps aggregated across requests (weight of the
+    /// salience means below; 0 means the batch had nothing to retrieve).
+    pub total_answer_steps: usize,
+    /// Step-weighted mean output cosine across the batch (the per-step
+    /// mean a single flat run over all steps would report, folded in
+    /// completion order).
+    pub output_cosine: f64,
+    /// Answer-step-weighted mean salient recall across the batch.
+    pub salient_recall: f64,
+    /// Answer-step-weighted mean retrieval accuracy across the batch.
+    pub retrieval_accuracy: f64,
+    /// Peak total resident tokens across the running sessions at any tick
+    /// — the shared array's high-water occupancy. Bounded by
+    /// `total_capacity` by construction (each session owns a fixed share
+    /// of the budget); reported so under-utilization is visible.
+    pub peak_resident: usize,
+}
+
+/// Folds per-request results into the batch aggregate. Weighting each
+/// request's mean by its step (resp. answer-step) count reconstructs the
+/// global per-step mean.
+fn aggregate(
+    per_sequence: Vec<SimResult>,
+    total_capacity: usize,
+    peak_resident: usize,
+) -> BatchResult {
+    let n = per_sequence.len();
+    let total_steps: usize = per_sequence.iter().map(|r| r.steps).sum();
+    let total_answer_steps: usize = per_sequence.iter().map(|r| r.answer_steps).sum();
+    let weighted = |f: fn(&SimResult) -> f64, w: fn(&SimResult) -> usize, total: usize| {
+        if total == 0 {
+            0.0
+        } else {
+            per_sequence.iter().map(|r| f(r) * w(r) as f64).sum::<f64>() / total as f64
+        }
+    };
+    let output_cosine = weighted(|r| r.output_cosine, |r| r.steps, total_steps);
+    let salient_recall = weighted(|r| r.salient_recall, |r| r.answer_steps, total_answer_steps);
+    let retrieval_accuracy = weighted(
+        |r| r.retrieval_accuracy,
+        |r| r.answer_steps,
+        total_answer_steps,
+    );
+
+    BatchResult {
+        per_sequence,
+        n_sequences: n,
+        total_capacity,
+        total_steps,
+        total_answer_steps,
+        output_cosine,
+        salient_recall,
+        retrieval_accuracy,
+        peak_resident,
+    }
+}
+
 /// End-of-run report: per-request results plus the aggregate views.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Every retired request, in completion order.
     pub completed: Vec<CompletedRequest>,
-    /// The completed requests folded into the batch aggregate (same
-    /// step-weighted means as [`simulate_batch`](crate::simulate_batch)).
+    /// The completed requests folded into step-weighted batch means.
     pub batch: BatchResult,
     /// The serving metrics summary.
     pub summary: MetricsSummary,
@@ -382,8 +452,10 @@ impl<'w> ServeCore<'w> {
     /// # Errors
     ///
     /// [`HarnessError::InvalidSpec`] when `spec` cannot run under this
-    /// core's per-session config ([`PolicySpec::validate_for`]) — checked
-    /// here so a bad spec fails at the front door, not mid-flight.
+    /// core's per-session config ([`PolicySpec::validate_for`]), and
+    /// [`HarnessError::EmptyWorkload`] when `workload` has no decode
+    /// steps — checked here so a bad request fails at the front door, not
+    /// mid-flight.
     pub fn submit(
         &mut self,
         workload: &'w DecodeWorkload,
@@ -392,6 +464,9 @@ impl<'w> ServeCore<'w> {
         priority: Priority,
     ) -> Result<SubmitOutcome, HarnessError> {
         spec.validate_for(&self.session_config)?;
+        if workload.decode_queries.is_empty() {
+            return Err(HarnessError::EmptyWorkload);
+        }
         self.metrics.note_submitted(self.tick);
         if self.queues.len() <= tenant {
             self.queues.resize_with(tenant + 1, VecDeque::new);
@@ -738,6 +813,21 @@ mod tests {
     }
 
     #[test]
+    fn stepless_workload_is_rejected_at_submit() {
+        let mut stepless = needle_task(48, 8, 1);
+        stepless.decode_queries.clear();
+        let mut core = ServeCore::new(small_config()).unwrap();
+        let err = core
+            .submit(&stepless, spec_for_share(), 0, Priority::Normal)
+            .unwrap_err();
+        assert_eq!(err, HarnessError::EmptyWorkload);
+        // Rejected before it is counted: the core still drains cleanly.
+        assert_eq!(core.metrics().summary().submitted, 0);
+        core.drain().unwrap();
+        assert_eq!(core.report().summary.completed, 0);
+    }
+
+    #[test]
     fn single_request_matches_a_solo_session_bit_for_bit() {
         let w = needle_task(48, 8, 2);
         let config = small_config();
@@ -783,6 +873,39 @@ mod tests {
         assert!(report.summary.min_occupancy_between_arrivals > 0);
         assert_eq!(report.summary.peak_occupancy_slots, 80);
         assert!(report.summary.peak_resident_tokens <= 80);
+    }
+
+    #[test]
+    fn batch_aggregates_are_step_weighted() {
+        let workloads = mixed_batch(3, 32, 6, 9);
+        let mut core = ServeCore::new(ServeConfig::new(3 * 40, 40, 8)).unwrap();
+        for w in &workloads {
+            core.submit(
+                w,
+                PolicySpec::StreamingLlm { n_sinks: 2 },
+                0,
+                Priority::Normal,
+            )
+            .unwrap();
+        }
+        core.drain().unwrap();
+        let batch = core.report().batch;
+        assert_eq!(batch.n_sequences, 3);
+        let expect: f64 = batch
+            .per_sequence
+            .iter()
+            .map(|s| s.output_cosine * s.steps as f64)
+            .sum::<f64>()
+            / batch.total_steps as f64;
+        assert!((batch.output_cosine - expect).abs() < 1e-12);
+        assert_eq!(
+            batch.total_answer_steps,
+            batch
+                .per_sequence
+                .iter()
+                .map(|s| s.answer_steps)
+                .sum::<usize>()
+        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! wrapper, a session is driven *incrementally* — `prefill` admits the
 //! sequence, `step` advances it one decode token, `finish` retires it into
 //! a [`SimResult`] — which is exactly the lifecycle a serving loop needs:
-//! both the [`DecodeEngine`](crate::DecodeEngine)'s schedulers and the
-//! continuous-batching [`ServeCore`](crate::ServeCore) drive sessions
-//! through this interface (the serve core additionally *drops* sessions
-//! mid-flight on preemption and re-prefills them later).
+//! the continuous-batching [`ServeCore`](crate::ServeCore) drives sessions
+//! through this interface, one [`Scheduler`](crate::Scheduler) tick at a
+//! time (and *drops* sessions mid-flight on preemption, re-prefilling them
+//! later).
 //!
 //! Every harness ↔ policy contract violation surfaces as a typed
 //! [`HarnessError`] instead of a panic, so one broken sequence can be
@@ -30,7 +30,7 @@ use crate::prefix::{prefix_fingerprint, MatrixLookup, PrefixRegistry};
 use crate::sim::{prefill_attention_matrix, SimConfig, SimResult};
 use crate::spec::PolicySpec;
 
-/// How a session holds its policy: owned (engine-managed sessions) or
+/// How a session holds its policy: owned (served sessions) or
 /// borrowed (the thin `simulate_decode` wrapper drives a caller's policy).
 enum PolicyHolder<'p> {
     Owned(Box<dyn Policy>),
@@ -126,10 +126,10 @@ pub struct StepOutcome {
 /// selection → observe weights over all residents → insert the new token,
 /// evicting on overflow) is shared by every driver in this crate:
 /// [`simulate_decode`](crate::simulate_decode) drives one borrowed-policy
-/// session to completion, and the [`DecodeEngine`](crate::DecodeEngine)
-/// schedulers drive many owned-policy sessions concurrently. A batch of
-/// size 1 therefore reproduces the single-sequence driver bit for bit
-/// (property-tested in `tests/properties.rs`).
+/// session to completion, and [`ServeCore`](crate::ServeCore) drives many
+/// owned-policy sessions concurrently. Every served request therefore
+/// reproduces its solo run bit for bit (property-tested in
+/// `tests/properties.rs`).
 ///
 /// Sessions are [`Send`] (policies are required to be `Send`, see
 /// [`Policy`]), so the [`WorkerPool`](crate::WorkerPool) scheduler can fan
@@ -154,11 +154,6 @@ pub struct DecodeSession<'w, 'p> {
     /// session sits at (or above) the limit, forcing the policy's evict
     /// decision instead.
     capacity_limit: usize,
-    /// Resident-token count after prefill and after each completed step —
-    /// the occupancy trajectory the engine aggregates shared-array peaks
-    /// from (deterministic per sequence, so any schedule reconstructs the
-    /// same peak).
-    resident_trace: Vec<usize>,
     // Reused per-step scratch buffers: the kernels write into these, so
     // the scan and attention stages allocate nothing once warm. The step
     // as a whole still allocates (the policy's `StepDecision.selected`
@@ -399,7 +394,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
             .iter()
             .flat_map(|s| s.iter().copied())
             .collect();
-        let resident_trace = vec![store.len()];
         Self {
             workload,
             policy,
@@ -410,7 +404,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
             inv_sqrt_dim: 1.0 / (dim as f32).sqrt(),
             next_step: 0,
             capacity_limit: config.capacity,
-            resident_trace,
             scored: Vec::with_capacity(config.capacity),
             scan_slots: Vec::with_capacity(config.capacity),
             scan_scores: Vec::with_capacity(config.capacity),
@@ -561,14 +554,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// Resident-token count after prefill (index 0) and after each
-    /// completed step: the occupancy trajectory a batch aggregator uses to
-    /// reconstruct shared-array peaks independently of schedule.
-    #[must_use]
-    pub fn resident_trace(&self) -> &[usize] {
-        &self.resident_trace
     }
 
     /// Runs the next decode step: score residents → select → exact
@@ -730,7 +715,6 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         }
 
         self.next_step += 1;
-        self.resident_trace.push(self.store.len());
         Ok(StepOutcome {
             step,
             selected: decision.selected.len(),
@@ -943,7 +927,6 @@ mod tests {
         assert_eq!(outcomes.len(), 12);
         assert_eq!(outcomes[0].step, 0);
         assert_eq!(outcomes[11].remaining, 0);
-        assert_eq!(session.resident_trace().len(), 13);
         assert_eq!(session.finish(), expected);
     }
 

@@ -3,8 +3,8 @@
 //!
 //! A [`PolicySpec`] is the registry entry for one policy configuration —
 //! benches, examples, and CLI binaries describe *which* policy to run as a
-//! value (JSON-serializable through the vendored serde), and the engine
-//! mints fresh instances per sequence with [`PolicySpec::build`]. Every
+//! value (JSON-serializable through the vendored serde), and the serve
+//! core mints fresh instances per sequence with [`PolicySpec::build`]. Every
 //! policy the crate ships is covered; [`PolicySpec::from_name`] maps the
 //! policy display names (what [`Policy::name`] reports) to documented
 //! default configurations.
@@ -217,9 +217,9 @@ impl PolicySpec {
     /// spill static tokens into the reserved decode slots, while
     /// under-subscribed ones strand capacity the policy will never fill.
     /// Likewise a prefill budget below `H` truncates the static stage
-    /// behind the policy's back. Session and engine construction from a
+    /// behind the policy's back. Session construction and serving from a
     /// spec ([`DecodeSession::prefill_spec`](crate::DecodeSession::prefill_spec),
-    /// [`DecodeEngine::run`](crate::DecodeEngine::run)) reject both.
+    /// [`ServeCore::submit`](crate::ServeCore::submit)) reject both.
     ///
     /// # Errors
     ///
@@ -256,8 +256,8 @@ impl PolicySpec {
     ///
     /// # Panics
     ///
-    /// Panics if the spec fails [`PolicySpec::validate`] (the engine
-    /// validates before building; call `validate` yourself when the spec
+    /// Panics if the spec fails [`PolicySpec::validate`] (the serve core
+    /// validates at submit, before building; call `validate` yourself when the spec
     /// comes from untrusted data).
     #[must_use]
     pub fn build(&self) -> Box<dyn Policy> {

@@ -6,10 +6,9 @@ use unicaim_attention::workloads::{
 };
 use unicaim_attention::Matrix;
 use unicaim_kvcache::{
-    simulate_batch, simulate_decode, simulate_stack, AllocatorSpec, BatchConfig, DecodeEngine,
-    DecodeSession, EngineConfig, HybridStaticDynamic, Policy, PolicySpec, Precision,
-    PrefixRegistry, SchedulerSpec, ScoreTable, ServeConfig, ServeCore, SimConfig, StackConfig,
-    StepDecision, StreamingLlm,
+    simulate_decode, simulate_stack, AllocatorSpec, DecodeSession, HybridStaticDynamic, Policy,
+    PolicySpec, Precision, PrefixRegistry, Priority, SchedulerSpec, ScoreTable, ServeConfig,
+    ServeCore, SimConfig, StackConfig, StepDecision, StreamingLlm,
 };
 
 fn small_workload(
@@ -50,7 +49,7 @@ fn run_policy(
 }
 
 /// The registry specs of every shipped policy, sized so each fits the
-/// per-sequence share — the menu the single/batched/scheduler equivalence
+/// per-sequence share — the menu the solo/closed-batch/scheduler equivalence
 /// checks iterate (a fresh, identically configured instance is minted per
 /// run via [`PolicySpec::build`]).
 fn policy_menu(capacity: usize, k: usize) -> Vec<PolicySpec> {
@@ -275,37 +274,13 @@ proptest! {
         prop_assert_eq!(unicaim_kvcache::top_indices_by_score(&scores, budget), idx);
     }
 
-    /// A batch of size 1 is bit-identical to `simulate_decode`, for every
-    /// shipped policy — the invariant that forces the two drivers to share
-    /// one per-step core.
-    #[test]
-    fn batch_of_one_equals_simulate_decode(
-        seed in 0u64..300,
-        capacity in 12usize..48,
-        k in 1usize..24,
-    ) {
-        let w = small_workload(seed, 48, 12);
-        let cfg = SimConfig::new(capacity, k);
-        for spec in policy_menu(capacity, k) {
-            let mut single = spec.build();
-            let expected = simulate_decode(&w, single.as_mut(), &cfg).expect("contract upheld");
-            let batch = simulate_batch(
-                std::slice::from_ref(&w),
-                &mut |_| spec.build(),
-                &BatchConfig::per_sequence(&cfg, 1),
-            )
-            .expect("contract upheld");
-            prop_assert_eq!(&batch.per_sequence[0], &expected);
-        }
-    }
-
     /// Continuous batching is transparent to every sequence: under
     /// staggered Poisson arrivals — sequences joining and leaving
     /// mid-flight, queueing behind the slot budget, and (when the trace
     /// carries high-priority requests) being preempted and re-prefilled —
     /// each completed request's per-sequence result is bit-identical to
     /// running that sequence alone at the same precision and policy. The
-    /// PR 2/4 equivalence ladder (single = batch-of-one = any scheduler)
+    /// closed-batch equivalence (solo = closed batch = any scheduler)
     /// extended to mid-flight join/leave.
     #[test]
     fn continuous_batching_matches_solo_sessions_bit_for_bit(
@@ -353,35 +328,54 @@ proptest! {
         }
     }
 
-    /// The `WorkerPool` scheduler produces the *identical* `BatchResult`
-    /// (per-sequence results, weighted aggregates, and the reconstructed
-    /// peak occupancy) as `Sequential`, for every shipped policy, batch
-    /// shape, worker count, and key-arena precision — the invariant that
-    /// makes the parallel scheduler a pure throughput play.
+    /// A closed batch — every request submitted to a `ServeCore` at tick 0,
+    /// then drained — is transparent to every sequence and to the
+    /// scheduler: for every shipped policy, key-arena precision and batch
+    /// size (1 included), each completed request's result is bit-identical
+    /// to a solo `DecodeSession` run of its workload, the `WorkerPool`
+    /// report equals the `Sequential` one, and the shared-array peak never
+    /// exceeds the budget.
     #[test]
-    fn worker_pool_equals_sequential_for_every_policy(
+    fn closed_batch_matches_solo_sessions_under_every_scheduler(
         seed in 0u64..200,
-        n in 2usize..6,
+        n in 1usize..6,
         share in 14usize..32,
         k in 1usize..16,
         workers in 2usize..5,
-        precision_idx in 0usize..3,
     ) {
-        let precision = Precision::ALL[precision_idx];
         let workloads: Vec<_> = (0..n as u64)
             .map(|i| small_workload(seed.wrapping_add(i), 32 + 4 * i as usize, 8 + i as usize))
             .collect();
-        let config = EngineConfig::new(share * n, k).with_precision(precision);
-        for spec in policy_menu(share, k) {
-            let sequential = DecodeEngine::new(config)
-                .run(&workloads, &spec)
-                .expect("contract upheld");
-            let pooled = DecodeEngine::new(
-                config.with_scheduler(SchedulerSpec::WorkerPool { workers }),
-            )
-            .run(&workloads, &spec)
-            .expect("contract upheld");
-            prop_assert_eq!(&pooled, &sequential);
+        for precision in Precision::ALL {
+            let config = ServeConfig::new(share * n, share, k).with_precision(precision);
+            for spec in policy_menu(share, k) {
+                let run = |scheduler| {
+                    let mut core = ServeCore::new(config.with_scheduler(scheduler))
+                        .expect("valid config");
+                    for w in &workloads {
+                        core.submit(w, spec.clone(), 0, Priority::Normal)
+                            .expect("contract upheld");
+                    }
+                    core.drain().expect("contract upheld");
+                    core.report()
+                };
+                let sequential = run(SchedulerSpec::Sequential);
+                prop_assert_eq!(sequential.summary.completed, n as u64);
+                prop_assert!(sequential.batch.peak_resident <= config.total_capacity,
+                    "{:?}", sequential.batch);
+                for completed in &sequential.completed {
+                    let mut solo = DecodeSession::prefill_spec(
+                        &workloads[completed.id],
+                        &spec,
+                        &config.session_config(),
+                    )
+                    .expect("solo prefill");
+                    solo.run_to_completion().expect("solo run");
+                    prop_assert_eq!(&completed.result, &solo.finish());
+                }
+                let pooled = run(SchedulerSpec::WorkerPool { workers });
+                prop_assert_eq!(&pooled, &sequential);
+            }
         }
     }
 }
@@ -527,21 +521,6 @@ proptest! {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn batched_policies_share_the_budget_evenly() {
-    // Deterministic (non-proptest) sanity: a 4-sequence batch under each
-    // policy respects the shared budget and reports per-sequence results.
-    let workloads: Vec<_> = (0..4u64).map(|s| small_workload(s, 48, 12)).collect();
-    let config = BatchConfig::new(4 * 24, 8);
-    for spec in policy_menu(24, 8) {
-        let r = simulate_batch(&workloads, &mut |_| spec.build(), &config).expect("contract");
-        assert_eq!(r.n_sequences, 4);
-        assert_eq!(r.per_sequence.len(), 4);
-        assert!(r.peak_resident <= config.total_capacity, "{r:?}");
-        assert_eq!(r.total_steps, 4 * 12);
     }
 }
 
