@@ -31,17 +31,25 @@
 //!
 //! # Backend dispatch and the determinism contract
 //!
-//! Every kernel in the menu dispatches over a [`KernelBackend`] detected
-//! once per process (`is_x86_feature_detected!`, overridable with
-//! `UNICAIM_KERNEL_BACKEND=scalar|sse2|avx2`). Each kernel also exposes a
-//! `*_with(backend, …)` twin taking the tier explicitly, which the parity
-//! tests use to pin every tier against scalar. The contract:
+//! Every kernel in the menu is a method on [`KernelBackend`], the tier it
+//! runs on: `backend.dot_gather(…)`, `backend.attend_gather_q(…)`,
+//! `backend.quantize_row_cell3(…)`. Callers pick the tier once —
+//! [`active_backend`], detected once per process
+//! (`is_x86_feature_detected!`, overridable with
+//! `UNICAIM_KERNEL_BACKEND=scalar|sse2|avx2`) — and the parity tests loop
+//! [`KernelBackend::supported`] to pin every tier against scalar. Five
+//! free functions ([`dot_gather`], [`dot_gather_q`], [`attend_gather`],
+//! [`quantize_row_i8`], [`quantize_arena_i8`]) forward to the methods on
+//! the process tier; they stay because the standalone wall-clock
+//! benchmark (`perfbench/`) calls them by name. The contract:
 //!
-//! * **Integer paths are bit-exact across every tier.** [`dot_i8`] widens
-//!   `i8 → i16 → i32` with no rounding, so the quantized scoring kernels'
-//!   integer accumulation — and the quantizers [`quantize_row_i8`] /
-//!   [`quantize_row_cell3`], whose SIMD portion is only the exact max-abs
-//!   reduction — produce identical bits on scalar, SSE2, and AVX2.
+//! * **Integer paths are bit-exact across every tier.**
+//!   [`KernelBackend::dot_i8`] widens `i8 → i16 → i32` with no rounding,
+//!   so the quantized scoring kernels' integer accumulation — and the
+//!   quantizers [`KernelBackend::quantize_row_i8`] /
+//!   [`KernelBackend::quantize_row_cell3`], whose SIMD portion is only the
+//!   exact max-abs reduction — produce identical bits on scalar, SSE2, and
+//!   AVX2.
 //! * **f32 paths are bounded-ulp and stable for a fixed tier.** The SSE2
 //!   tier is bit-identical to scalar by construction (same eight-lane
 //!   accumulator partition, same multiply-then-add per element, same
@@ -71,9 +79,9 @@ pub const BACKEND_ENV: &str = "UNICAIM_KERNEL_BACKEND";
 /// A SIMD tier the kernel layer can dispatch to.
 ///
 /// Tiers are strictly host-gated: [`KernelBackend::detect`] picks the best
-/// tier the CPU supports, and explicit requests (via [`BACKEND_ENV`] or the
-/// `*_with` kernels) for an unsupported tier clamp to [`KernelBackend::Scalar`]
-/// (`KernelBackend::Scalar`), so an unsupported instruction can never be
+/// tier the CPU supports, and explicit requests (via [`BACKEND_ENV`] or a
+/// kernel method called on the tier) for an unsupported tier clamp to
+/// [`KernelBackend::Scalar`], so an unsupported instruction can never be
 /// reached. On non-x86_64 hosts (e.g. aarch64, where a NEON tier is a
 /// future extension) every tier except scalar reports unsupported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,8 +178,9 @@ impl KernelBackend {
 }
 
 /// The process-wide kernel tier: [`BACKEND_ENV`] if set and valid,
-/// otherwise [`KernelBackend::detect`]. Resolved once and cached — every
-/// un-suffixed kernel in this module dispatches through it.
+/// otherwise [`KernelBackend::detect`]. Resolved once and cached — the
+/// free kernel forwards in this module run on it, and decode sessions
+/// capture it once at admission.
 #[must_use]
 pub fn active_backend() -> KernelBackend {
     static ACTIVE: OnceLock<KernelBackend> = OnceLock::new();
@@ -382,7 +391,7 @@ impl QuantRows for QuantRowView<'_> {
     }
 }
 
-/// Number of independent accumulators in [`dot`]. Wide enough for the
+/// Number of independent accumulators in [`KernelBackend::dot`]. Wide enough for the
 /// compiler to keep the loop in vector registers; the SIMD tiers keep the
 /// same 8-lane accumulator partition so their reductions line up with
 /// scalar (see the module docs).
@@ -420,241 +429,6 @@ fn axpy_scalar(w: f32, x: &[f32], out: &mut [f32]) {
 /// range pass.
 fn maxabs_scalar(src: &[f32]) -> f32 {
     src.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-}
-
-/// Dot product with `LANES` independent accumulators (reassociated
-/// summation — results can differ from a strictly sequential sum in the
-/// last bits, which every consumer tolerates at ≤1e-5 relative error).
-/// Dispatches over [`active_backend`]; see [`dot_with`].
-///
-/// # Panics
-///
-/// Panics (in debug builds) if lengths differ; release builds truncate to
-/// the shorter slice.
-#[inline]
-#[must_use]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    dot_with(active_backend(), a, b)
-}
-
-/// [`dot`] on an explicit tier. SSE2 is bit-identical to scalar; AVX2 is
-/// within `2·n·ε·Σ|aᵢ·bᵢ|` of scalar (`ε = 2⁻²⁴`; module docs derive the
-/// bound).
-///
-/// # Panics
-///
-/// Panics (in debug builds) if lengths differ; release builds truncate to
-/// the shorter slice.
-#[inline]
-#[must_use]
-pub fn dot_with(backend: KernelBackend, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dot of unequal lengths");
-    dot_f32_fn(backend)(a, b)
-}
-
-/// Scaled dots of `query` against rows `0..out.len()` of `keys`:
-/// `out[r] = scale · (query · keys[r])`.
-///
-/// # Panics
-///
-/// Panics if a row extends past the key buffer.
-pub fn dot_prefix<K: Rows>(query: &[f32], keys: K, scale: f32, out: &mut [f32]) {
-    dot_prefix_with(active_backend(), query, keys, scale, out);
-}
-
-/// [`dot_prefix`] on an explicit tier.
-///
-/// # Panics
-///
-/// Panics if a row extends past the key buffer.
-pub fn dot_prefix_with<K: Rows>(
-    backend: KernelBackend,
-    query: &[f32],
-    keys: K,
-    scale: f32,
-    out: &mut [f32],
-) {
-    let dot = dot_f32_fn(backend);
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = dot(query, keys.row(r)) * scale;
-    }
-}
-
-/// Scaled dots of `query` against the gathered `rows` of `keys`:
-/// `out[i] = scale · (query · keys[rows[i]])`.
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()` or a row is out of range.
-pub fn dot_gather<K: Rows>(query: &[f32], keys: K, rows: &[usize], scale: f32, out: &mut [f32]) {
-    dot_gather_with(active_backend(), query, keys, rows, scale, out);
-}
-
-/// [`dot_gather`] on an explicit tier.
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()` or a row is out of range.
-pub fn dot_gather_with<K: Rows>(
-    backend: KernelBackend,
-    query: &[f32],
-    keys: K,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-) {
-    assert_eq!(rows.len(), out.len(), "gather output length mismatch");
-    let dot = dot_f32_fn(backend);
-    for (&r, o) in rows.iter().zip(out.iter_mut()) {
-        *o = dot(query, keys.row(r)) * scale;
-    }
-}
-
-/// Accumulates `out += Σ weights[i] · values[rows[i]]` over gathered rows
-/// (callers zero `out` first; [`attend_gather`] does).
-///
-/// # Panics
-///
-/// Panics if `out.len() != values.dim()` or lengths disagree.
-pub fn weighted_sum_gather<V: Rows>(weights: &[f32], values: V, rows: &[usize], out: &mut [f32]) {
-    weighted_sum_gather_with(active_backend(), weights, values, rows, out);
-}
-
-/// [`weighted_sum_gather`] on an explicit tier.
-///
-/// # Panics
-///
-/// Panics if `out.len() != values.dim()` or lengths disagree.
-pub fn weighted_sum_gather_with<V: Rows>(
-    backend: KernelBackend,
-    weights: &[f32],
-    values: V,
-    rows: &[usize],
-    out: &mut [f32],
-) {
-    assert_eq!(out.len(), values.dim(), "output/value dimension mismatch");
-    assert_eq!(weights.len(), rows.len(), "weight/row count mismatch");
-    let axpy = axpy_fn(backend);
-    for (&r, &w) in rows.iter().zip(weights) {
-        axpy(w, values.row(r), out);
-    }
-}
-
-/// Fused gather → score → softmax → weighted-sum attention over the
-/// gathered `rows`: `out = softmax(scale · q·Kᵀ) · V`, writing into `out`
-/// and reusing `weights` as scratch. An empty gather writes a zero vector.
-///
-/// # Panics
-///
-/// Panics if `query.len() != keys.dim()` or `out.len() != values.dim()`.
-pub fn attend_gather<K: Rows, V: Rows>(
-    query: &[f32],
-    keys: K,
-    values: V,
-    rows: &[usize],
-    scale: f32,
-    weights: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    attend_gather_with(
-        active_backend(),
-        query,
-        keys,
-        values,
-        rows,
-        scale,
-        weights,
-        out,
-    );
-}
-
-/// [`attend_gather`] on an explicit tier (softmax is shared scalar code
-/// on every tier).
-///
-/// # Panics
-///
-/// Panics if `query.len() != keys.dim()` or `out.len() != values.dim()`.
-#[allow(clippy::too_many_arguments)]
-pub fn attend_gather_with<K: Rows, V: Rows>(
-    backend: KernelBackend,
-    query: &[f32],
-    keys: K,
-    values: V,
-    rows: &[usize],
-    scale: f32,
-    weights: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    assert_eq!(query.len(), keys.dim(), "query/key dimension mismatch");
-    out.fill(0.0);
-    if rows.is_empty() {
-        return;
-    }
-    weights.clear();
-    weights.resize(rows.len(), 0.0);
-    dot_gather_with(backend, query, keys, rows, scale, weights);
-    softmax_in_place(weights);
-    weighted_sum_gather_with(backend, weights, values, rows, out);
-}
-
-/// Fused attention over the contiguous row prefix `0..n` (the causal
-/// "attend to everything so far" step): `out = softmax(scale · q·Kᵀ) · V`.
-/// `n == 0` writes a zero vector.
-///
-/// # Panics
-///
-/// Panics if `query.len() != keys.dim()` or `out.len() != values.dim()`.
-pub fn attend_prefix<K: Rows, V: Rows>(
-    query: &[f32],
-    keys: K,
-    values: V,
-    n: usize,
-    scale: f32,
-    weights: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    attend_prefix_with(
-        active_backend(),
-        query,
-        keys,
-        values,
-        n,
-        scale,
-        weights,
-        out,
-    );
-}
-
-/// [`attend_prefix`] on an explicit tier.
-///
-/// # Panics
-///
-/// Panics if `query.len() != keys.dim()` or `out.len() != values.dim()`.
-#[allow(clippy::too_many_arguments)]
-pub fn attend_prefix_with<K: Rows, V: Rows>(
-    backend: KernelBackend,
-    query: &[f32],
-    keys: K,
-    values: V,
-    n: usize,
-    scale: f32,
-    weights: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    assert_eq!(query.len(), keys.dim(), "query/key dimension mismatch");
-    out.fill(0.0);
-    if n == 0 {
-        return;
-    }
-    weights.clear();
-    weights.resize(n, 0.0);
-    dot_prefix_with(backend, query, keys, scale, weights);
-    softmax_in_place(weights);
-    assert_eq!(out.len(), values.dim(), "output/value dimension mismatch");
-    let axpy = axpy_fn(backend);
-    for (r, &w) in weights.iter().enumerate() {
-        axpy(w, values.row(r), out);
-    }
 }
 
 /// A borrowed view of row-major `i8` rows with one `f32` scale per row:
@@ -738,155 +512,16 @@ impl<'a> QuantRowView<'a> {
     }
 }
 
-/// Quantization steps per side of zero for [`quantize_row_i8`]: the
+/// Quantization steps per side of zero for
+/// [`KernelBackend::quantize_row_i8`]: the
 /// symmetric `i8` range `−127 … +127` (−128 is never produced).
 pub const INT8_STEPS: f32 = 127.0;
 
-/// Quantization steps per side of zero for [`quantize_row_cell3`]: levels
+/// Quantization steps per side of zero for
+/// [`KernelBackend::quantize_row_cell3`]: levels
 /// `−2 … +2` map to the 3-bit multilevel cell's five signed weights
 /// {−1, −0.5, 0, +0.5, +1} (times the row scale).
 pub const CELL3_STEPS: f32 = 2.0;
-
-/// Shared symmetric per-row quantizer: max-abs scaling to `±steps` integer
-/// levels, round-to-nearest. Returns `scale` such that
-/// `src[i] ≈ scale · out[i]`; an all-zero row quantizes to zeros with
-/// scale 0.
-///
-/// Only the (exact) max-abs reduction dispatches to SIMD; the
-/// divide/round/cast loop stays scalar because `f32::round` is
-/// round-half-away-from-zero, which vector instructions do not implement
-/// directly — keeping it scalar makes quantization bit-exact on every
-/// tier for finite inputs.
-fn quantize_row_with_backend(
-    backend: KernelBackend,
-    src: &[f32],
-    steps: f32,
-    out: &mut [i8],
-) -> f32 {
-    assert_eq!(src.len(), out.len(), "quantize output length mismatch");
-    let maxabs = maxabs_fn(backend)(src);
-    if maxabs == 0.0 {
-        out.fill(0);
-        return 0.0;
-    }
-    let scale = maxabs / steps;
-    for (o, &x) in out.iter_mut().zip(src) {
-        // |x| ≤ maxabs so |x/scale| ≤ steps ≤ 127: the cast cannot wrap
-        // (and saturates defensively on non-finite input).
-        *o = (x / scale).round() as i8;
-    }
-    scale
-}
-
-/// Quantizes one row to `i8` with symmetric per-row max-abs scaling
-/// (`±127` levels). Returns the scale; round-trip error per element is at
-/// most `scale / 2 = maxabs / 254`.
-///
-/// # Panics
-///
-/// Panics if `src.len() != out.len()`.
-pub fn quantize_row_i8(src: &[f32], out: &mut [i8]) -> f32 {
-    quantize_row_i8_with(active_backend(), src, out)
-}
-
-/// [`quantize_row_i8`] on an explicit tier (bit-exact on every tier for
-/// finite inputs).
-///
-/// # Panics
-///
-/// Panics if `src.len() != out.len()`.
-pub fn quantize_row_i8_with(backend: KernelBackend, src: &[f32], out: &mut [i8]) -> f32 {
-    quantize_row_with_backend(backend, src, INT8_STEPS, out)
-}
-
-/// Snaps one row to the 3-bit multilevel cell's five signed levels
-/// {−1, −0.5, 0, +0.5, +1} scaled by the row max-abs, stored as integer
-/// levels `−2 … +2`. Returns the scale (`maxabs / 2`).
-///
-/// The snap is idempotent: re-quantizing the dequantized row reproduces
-/// the same levels and scale (the max-abs element always lands on `±2`,
-/// so the scale is preserved exactly).
-///
-/// # Panics
-///
-/// Panics if `src.len() != out.len()`.
-pub fn quantize_row_cell3(src: &[f32], out: &mut [i8]) -> f32 {
-    quantize_row_cell3_with(active_backend(), src, out)
-}
-
-/// [`quantize_row_cell3`] on an explicit tier (bit-exact on every tier
-/// for finite inputs).
-///
-/// # Panics
-///
-/// Panics if `src.len() != out.len()`.
-pub fn quantize_row_cell3_with(backend: KernelBackend, src: &[f32], out: &mut [i8]) -> f32 {
-    quantize_row_with_backend(backend, src, CELL3_STEPS, out)
-}
-
-/// Quantizes a contiguous row-major `f32` arena (`src.len() / dim` rows)
-/// to `i8` with one scale per row — the bulk form of [`quantize_row_i8`],
-/// producing exactly the layout [`QuantRowView::contiguous`] reads.
-///
-/// Allocates fresh vectors; steady-state callers (prefill, requantize,
-/// benchmarks) should prefer [`quantize_arena_i8_into`], which reuses
-/// caller scratch.
-///
-/// # Panics
-///
-/// Panics if `dim == 0` or `src.len()` is not a multiple of `dim`.
-#[must_use]
-pub fn quantize_arena_i8(src: &[f32], dim: usize) -> (Vec<i8>, Vec<f32>) {
-    let mut q = Vec::new();
-    let mut scales = Vec::new();
-    quantize_arena_i8_into(src, dim, &mut q, &mut scales);
-    (q, scales)
-}
-
-/// Scratch-reusing form of [`quantize_arena_i8`]: clears and refills `q`
-/// and `scales` in place (reusing their capacity), so a loop that
-/// repeatedly quantizes arenas performs no steady-state allocation.
-///
-/// # Panics
-///
-/// Panics if `dim == 0` or `src.len()` is not a multiple of `dim`.
-pub fn quantize_arena_i8_into(src: &[f32], dim: usize, q: &mut Vec<i8>, scales: &mut Vec<f32>) {
-    quantize_arena_i8_into_with(active_backend(), src, dim, q, scales);
-}
-
-/// [`quantize_arena_i8_into`] on an explicit tier (the i8 quantizer is
-/// bit-identical across tiers for finite inputs, so the twin exists for
-/// uniformity with the rest of the kernel facade).
-///
-/// # Panics
-///
-/// Panics if `dim == 0` or `src.len()` is not a multiple of `dim`.
-pub fn quantize_arena_i8_into_with(
-    backend: KernelBackend,
-    src: &[f32],
-    dim: usize,
-    q: &mut Vec<i8>,
-    scales: &mut Vec<f32>,
-) {
-    assert!(dim > 0, "quantize_arena_i8 requires dim > 0");
-    assert!(
-        src.len().is_multiple_of(dim),
-        "arena length {} is not a multiple of dim {dim}",
-        src.len()
-    );
-    let rows = src.len() / dim;
-    q.clear();
-    q.resize(src.len(), 0);
-    scales.clear();
-    scales.resize(rows, 0.0);
-    for r in 0..rows {
-        scales[r] = quantize_row_i8_with(
-            backend,
-            &src[r * dim..(r + 1) * dim],
-            &mut q[r * dim..(r + 1) * dim],
-        );
-    }
-}
 
 /// Dequantizes integer levels back to `f32`: `out[i] = scale · q[i]`.
 ///
@@ -920,41 +555,373 @@ fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     acc.iter().sum::<i32>() + tail
 }
 
-/// Integer dot product with `LANES` independent `i32` accumulators — the
-/// quantized twin of [`dot`]. Exact (no rounding): `|a·b| ≤ 127²·dim`
-/// stays far inside `i32` for any realistic head dimension, so every
-/// backend tier returns identical bits.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if lengths differ; release builds truncate to
-/// the shorter slice.
-#[inline]
-#[must_use]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_with(active_backend(), a, b)
+/// The kernel menu: every kernel is a method on the tier it runs on, so a
+/// caller that captured a tier once (a decode session, a parity test
+/// looping [`KernelBackend::supported`]) runs every kernel on it. An
+/// unsupported tier clamps to scalar.
+impl KernelBackend {
+    /// Dot product with `LANES` independent accumulators (reassociated
+    /// summation — results can differ from a strictly sequential sum in
+    /// the last bits, which every consumer tolerates at ≤1e-5 relative
+    /// error). SSE2 is bit-identical to scalar; AVX2 is within
+    /// `2·n·ε·Σ|aᵢ·bᵢ|` of scalar (`ε = 2⁻²⁴`; module docs derive the
+    /// bound).
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if lengths differ; release builds truncate
+    /// to the shorter slice.
+    #[inline]
+    #[must_use]
+    pub fn dot(self, a: &[f32], b: &[f32]) -> f32 {
+        debug_assert_eq!(a.len(), b.len(), "dot of unequal lengths");
+        dot_f32_fn(self)(a, b)
+    }
+
+    /// Scaled dots of `query` against rows `0..out.len()` of `keys`:
+    /// `out[r] = scale · (query · keys[r])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row extends past the key buffer.
+    pub fn dot_prefix<K: Rows>(self, query: &[f32], keys: K, scale: f32, out: &mut [f32]) {
+        let dot = dot_f32_fn(self);
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = dot(query, keys.row(r)) * scale;
+        }
+    }
+
+    /// Scaled dots of `query` against the gathered `rows` of `keys`:
+    /// `out[i] = scale · (query · keys[rows[i]])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != out.len()` or a row is out of range.
+    pub fn dot_gather<K: Rows>(
+        self,
+        query: &[f32],
+        keys: K,
+        rows: &[usize],
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        assert_eq!(rows.len(), out.len(), "gather output length mismatch");
+        let dot = dot_f32_fn(self);
+        for (&r, o) in rows.iter().zip(out.iter_mut()) {
+            *o = dot(query, keys.row(r)) * scale;
+        }
+    }
+
+    /// Accumulates `out += Σ weights[i] · values[rows[i]]` over gathered
+    /// rows (callers zero `out` first;
+    /// [`attend_gather`](KernelBackend::attend_gather) does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != values.dim()` or lengths disagree.
+    pub fn weighted_sum_gather<V: Rows>(
+        self,
+        weights: &[f32],
+        values: V,
+        rows: &[usize],
+        out: &mut [f32],
+    ) {
+        assert_eq!(out.len(), values.dim(), "output/value dimension mismatch");
+        assert_eq!(weights.len(), rows.len(), "weight/row count mismatch");
+        let axpy = axpy_fn(self);
+        for (&r, &w) in rows.iter().zip(weights) {
+            axpy(w, values.row(r), out);
+        }
+    }
+
+    /// Fused gather → score → softmax → weighted-sum attention over the
+    /// gathered `rows`: `out = softmax(scale · q·Kᵀ) · V`, writing into
+    /// `out` and reusing `weights` as scratch. An empty gather writes a
+    /// zero vector. Softmax is shared scalar code on every tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len() != keys.dim()` or `out.len() != values.dim()`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn attend_gather<K: Rows, V: Rows>(
+        self,
+        query: &[f32],
+        keys: K,
+        values: V,
+        rows: &[usize],
+        scale: f32,
+        weights: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        assert_eq!(query.len(), keys.dim(), "query/key dimension mismatch");
+        out.fill(0.0);
+        if rows.is_empty() {
+            return;
+        }
+        weights.clear();
+        weights.resize(rows.len(), 0.0);
+        self.dot_gather(query, keys, rows, scale, weights);
+        softmax_in_place(weights);
+        self.weighted_sum_gather(weights, values, rows, out);
+    }
+
+    /// Fused attention over the contiguous row prefix `0..n` (the causal
+    /// "attend to everything so far" step):
+    /// `out = softmax(scale · q·Kᵀ) · V`. `n == 0` writes a zero vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len() != keys.dim()` or `out.len() != values.dim()`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn attend_prefix<K: Rows, V: Rows>(
+        self,
+        query: &[f32],
+        keys: K,
+        values: V,
+        n: usize,
+        scale: f32,
+        weights: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        assert_eq!(query.len(), keys.dim(), "query/key dimension mismatch");
+        out.fill(0.0);
+        if n == 0 {
+            return;
+        }
+        weights.clear();
+        weights.resize(n, 0.0);
+        self.dot_prefix(query, keys, scale, weights);
+        softmax_in_place(weights);
+        assert_eq!(out.len(), values.dim(), "output/value dimension mismatch");
+        let axpy = axpy_fn(self);
+        for (r, &w) in weights.iter().enumerate() {
+            axpy(w, values.row(r), out);
+        }
+    }
+
+    /// Shared symmetric per-row quantizer: max-abs scaling to `±steps`
+    /// integer levels, round-to-nearest. Returns `scale` such that
+    /// `src[i] ≈ scale · out[i]`; an all-zero row quantizes to zeros with
+    /// scale 0.
+    ///
+    /// Only the (exact) max-abs reduction dispatches to SIMD; the
+    /// divide/round/cast loop stays scalar because `f32::round` is
+    /// round-half-away-from-zero, which vector instructions do not
+    /// implement directly — keeping it scalar makes quantization bit-exact
+    /// on every tier for finite inputs.
+    fn quantize_row(self, src: &[f32], steps: f32, out: &mut [i8]) -> f32 {
+        assert_eq!(src.len(), out.len(), "quantize output length mismatch");
+        let maxabs = maxabs_fn(self)(src);
+        if maxabs == 0.0 {
+            out.fill(0);
+            return 0.0;
+        }
+        let scale = maxabs / steps;
+        for (o, &x) in out.iter_mut().zip(src) {
+            // |x| ≤ maxabs so |x/scale| ≤ steps ≤ 127: the cast cannot wrap
+            // (and saturates defensively on non-finite input).
+            *o = (x / scale).round() as i8;
+        }
+        scale
+    }
+
+    /// Quantizes one row to `i8` with symmetric per-row max-abs scaling
+    /// (`±127` levels). Returns the scale; round-trip error per element is
+    /// at most `scale / 2 = maxabs / 254`. Bit-exact on every tier for
+    /// finite inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() != out.len()`.
+    pub fn quantize_row_i8(self, src: &[f32], out: &mut [i8]) -> f32 {
+        self.quantize_row(src, INT8_STEPS, out)
+    }
+
+    /// Snaps one row to the 3-bit multilevel cell's five signed levels
+    /// {−1, −0.5, 0, +0.5, +1} scaled by the row max-abs, stored as
+    /// integer levels `−2 … +2`. Returns the scale (`maxabs / 2`).
+    /// Bit-exact on every tier for finite inputs.
+    ///
+    /// The snap is idempotent: re-quantizing the dequantized row reproduces
+    /// the same levels and scale (the max-abs element always lands on
+    /// `±2`, so the scale is preserved exactly).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() != out.len()`.
+    pub fn quantize_row_cell3(self, src: &[f32], out: &mut [i8]) -> f32 {
+        self.quantize_row(src, CELL3_STEPS, out)
+    }
+
+    /// Quantizes a contiguous row-major `f32` arena (`src.len() / dim`
+    /// rows) to `i8` with one scale per row — the bulk form of
+    /// [`quantize_row_i8`](KernelBackend::quantize_row_i8), producing
+    /// exactly the layout [`QuantRowView::contiguous`] reads.
+    ///
+    /// Allocates fresh vectors; steady-state callers (prefill, requantize,
+    /// benchmarks) should prefer
+    /// [`quantize_arena_i8_into`](KernelBackend::quantize_arena_i8_into),
+    /// which reuses caller scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0` or `src.len()` is not a multiple of `dim`.
+    #[must_use]
+    pub fn quantize_arena_i8(self, src: &[f32], dim: usize) -> (Vec<i8>, Vec<f32>) {
+        let mut q = Vec::new();
+        let mut scales = Vec::new();
+        self.quantize_arena_i8_into(src, dim, &mut q, &mut scales);
+        (q, scales)
+    }
+
+    /// Scratch-reusing form of
+    /// [`quantize_arena_i8`](KernelBackend::quantize_arena_i8): clears and
+    /// refills `q` and `scales` in place (reusing their capacity), so a
+    /// loop that repeatedly quantizes arenas performs no steady-state
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0` or `src.len()` is not a multiple of `dim`.
+    pub fn quantize_arena_i8_into(
+        self,
+        src: &[f32],
+        dim: usize,
+        q: &mut Vec<i8>,
+        scales: &mut Vec<f32>,
+    ) {
+        assert!(dim > 0, "quantize_arena_i8 requires dim > 0");
+        assert!(
+            src.len().is_multiple_of(dim),
+            "arena length {} is not a multiple of dim {dim}",
+            src.len()
+        );
+        let rows = src.len() / dim;
+        q.clear();
+        q.resize(src.len(), 0);
+        scales.clear();
+        scales.resize(rows, 0.0);
+        for r in 0..rows {
+            scales[r] =
+                self.quantize_row_i8(&src[r * dim..(r + 1) * dim], &mut q[r * dim..(r + 1) * dim]);
+        }
+    }
+
+    /// Integer dot product with `LANES` independent `i32` accumulators —
+    /// the quantized twin of [`dot`](KernelBackend::dot). Exact (no
+    /// rounding): `|a·b| ≤ 127²·dim` stays far inside `i32` for any
+    /// realistic head dimension, so every tier returns identical bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if lengths differ; release builds truncate
+    /// to the shorter slice.
+    #[inline]
+    #[must_use]
+    pub fn dot_i8(self, a: &[i8], b: &[i8]) -> i32 {
+        debug_assert_eq!(a.len(), b.len(), "dot of unequal lengths");
+        dot_i8_fn(self)(a, b)
+    }
+
+    /// Quantized twin of [`dot_gather`](KernelBackend::dot_gather): scaled
+    /// dots of a pre-quantized query against the gathered `rows` of the
+    /// quantized key arena, rescaled once per row. Bit-exact on every tier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != out.len()` or a row is out of range.
+    pub fn dot_gather_q<Q: QuantRows>(
+        self,
+        query_q: &[i8],
+        query_scale: f32,
+        keys: Q,
+        rows: &[usize],
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        assert_eq!(rows.len(), out.len(), "gather output length mismatch");
+        let dot = dot_i8_fn(self);
+        for (&r, o) in rows.iter().zip(out.iter_mut()) {
+            *o = dot(query_q, keys.row(r)) as f32 * (scale * query_scale * keys.scale(r));
+        }
+    }
+
+    /// The decode session's resident scan:
+    /// [`dot_gather_q`](KernelBackend::dot_gather_q) with the
+    /// **resident-scan rescale order** `raw · ((query_scale ·
+    /// keys.scale(r)) · scale)`, which differs from `dot_gather_q`'s
+    /// `(scale · query_scale) · keys.scale(r)` in the last bits. The
+    /// session has always scored residents in this association; pinning it
+    /// here keeps quantized decode trajectories bit-identical. Bit-exact on
+    /// every tier: the integer dot is exact and the rescale is shared
+    /// scalar code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len() != out.len()` or a row is out of range.
+    pub fn dot_gather_q_scan<Q: QuantRows>(
+        self,
+        query_q: &[i8],
+        query_scale: f32,
+        keys: Q,
+        rows: &[usize],
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        assert_eq!(rows.len(), out.len(), "gather output length mismatch");
+        let dot = dot_i8_fn(self);
+        for (&r, o) in rows.iter().zip(out.iter_mut()) {
+            *o = dot(query_q, keys.row(r)) as f32 * (query_scale * keys.scale(r) * scale);
+        }
+    }
+
+    /// Quantized twin of [`attend_gather`](KernelBackend::attend_gather):
+    /// fused gather → quantized score → softmax → weighted-sum attention.
+    /// Keys are scored from the quantized arena (the deployed precision);
+    /// values stay `f32`, mirroring the UniCAIM array where only the
+    /// CAM/CIM key storage is reduced-precision. An empty gather writes a
+    /// zero vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query_q.len() != keys.dim()` or `out.len() != values.dim()`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn attend_gather_q<Q: QuantRows, V: Rows>(
+        self,
+        query_q: &[i8],
+        query_scale: f32,
+        keys: Q,
+        values: V,
+        rows: &[usize],
+        scale: f32,
+        weights: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
+        assert_eq!(query_q.len(), keys.dim(), "query/key dimension mismatch");
+        out.fill(0.0);
+        if rows.is_empty() {
+            return;
+        }
+        weights.clear();
+        weights.resize(rows.len(), 0.0);
+        self.dot_gather_q(query_q, query_scale, keys, rows, scale, weights);
+        softmax_in_place(weights);
+        self.weighted_sum_gather(weights, values, rows, out);
+    }
 }
 
-/// [`dot_i8`] on an explicit tier (bit-exact on every tier).
-///
-/// # Panics
-///
-/// Panics (in debug builds) if lengths differ; release builds truncate to
-/// the shorter slice.
-#[inline]
-#[must_use]
-pub fn dot_i8_with(backend: KernelBackend, a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len(), "dot of unequal lengths");
-    dot_i8_fn(backend)(a, b)
+// ---------------------------------------------------------------------
+// Free forwards on the process tier. These five are the kernel entry
+// points the standalone wall-clock benchmark (`perfbench/`) calls by name;
+// in-tree code calls the `KernelBackend` methods.
+// ---------------------------------------------------------------------
+
+/// [`KernelBackend::dot_gather`] on [`active_backend`].
+pub fn dot_gather<K: Rows>(query: &[f32], keys: K, rows: &[usize], scale: f32, out: &mut [f32]) {
+    active_backend().dot_gather(query, keys, rows, scale, out);
 }
 
-/// Quantized twin of [`dot_gather`]: scaled dots of a pre-quantized query
-/// against the gathered `rows` of the quantized key arena, rescaled once
-/// per row.
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()` or a row is out of range.
+/// [`KernelBackend::dot_gather_q`] on [`active_backend`].
 pub fn dot_gather_q<Q: QuantRows>(
     query_q: &[i8],
     query_scale: f32,
@@ -963,149 +930,31 @@ pub fn dot_gather_q<Q: QuantRows>(
     scale: f32,
     out: &mut [f32],
 ) {
-    dot_gather_q_with(
-        active_backend(),
-        query_q,
-        query_scale,
-        keys,
-        rows,
-        scale,
-        out,
-    );
+    active_backend().dot_gather_q(query_q, query_scale, keys, rows, scale, out);
 }
 
-/// [`dot_gather_q`] on an explicit tier (bit-exact on every tier).
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()` or a row is out of range.
-pub fn dot_gather_q_with<Q: QuantRows>(
-    backend: KernelBackend,
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-) {
-    assert_eq!(rows.len(), out.len(), "gather output length mismatch");
-    let dot = dot_i8_fn(backend);
-    for (&r, o) in rows.iter().zip(out.iter_mut()) {
-        *o = dot(query_q, keys.row(r)) as f32 * (scale * query_scale * keys.scale(r));
-    }
-}
-
-/// The decode session's resident scan: [`dot_gather_q`] with the
-/// **resident-scan rescale order** `raw · ((query_scale · keys.scale(r)) ·
-/// scale)`, which differs from [`dot_gather_q`]'s
-/// `(scale · query_scale) · keys.scale(r)` in the last bits. The session
-/// has always scored residents in this association; pinning it here keeps
-/// quantized decode trajectories bit-identical.
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()` or a row is out of range.
-pub fn dot_gather_q_scan<Q: QuantRows>(
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-) {
-    dot_gather_q_scan_with(
-        active_backend(),
-        query_q,
-        query_scale,
-        keys,
-        rows,
-        scale,
-        out,
-    );
-}
-
-/// [`dot_gather_q_scan`] on an explicit tier (bit-exact on every tier:
-/// the integer dot is exact and the rescale is shared scalar code).
-///
-/// # Panics
-///
-/// Panics if `rows.len() != out.len()` or a row is out of range.
-pub fn dot_gather_q_scan_with<Q: QuantRows>(
-    backend: KernelBackend,
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    rows: &[usize],
-    scale: f32,
-    out: &mut [f32],
-) {
-    assert_eq!(rows.len(), out.len(), "gather output length mismatch");
-    let dot = dot_i8_fn(backend);
-    for (&r, o) in rows.iter().zip(out.iter_mut()) {
-        *o = dot(query_q, keys.row(r)) as f32 * (query_scale * keys.scale(r) * scale);
-    }
-}
-
-/// Quantized twin of [`attend_gather`]: fused gather → quantized score →
-/// softmax → weighted-sum attention. Keys are scored from the quantized
-/// arena (the deployed precision); values stay `f32`, mirroring the
-/// UniCAIM array where only the CAM/CIM key storage is reduced-precision.
-/// An empty gather writes a zero vector.
-///
-/// # Panics
-///
-/// Panics if `query_q.len() != keys.dim()` or `out.len() != values.dim()`.
-#[allow(clippy::too_many_arguments)]
-pub fn attend_gather_q<Q: QuantRows, V: Rows>(
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
+/// [`KernelBackend::attend_gather`] on [`active_backend`].
+pub fn attend_gather<K: Rows, V: Rows>(
+    query: &[f32],
+    keys: K,
     values: V,
     rows: &[usize],
     scale: f32,
     weights: &mut Vec<f32>,
     out: &mut [f32],
 ) {
-    attend_gather_q_with(
-        active_backend(),
-        query_q,
-        query_scale,
-        keys,
-        values,
-        rows,
-        scale,
-        weights,
-        out,
-    );
+    active_backend().attend_gather(query, keys, values, rows, scale, weights, out);
 }
 
-/// [`attend_gather_q`] on an explicit tier.
-///
-/// # Panics
-///
-/// Panics if `query_q.len() != keys.dim()` or `out.len() != values.dim()`.
-#[allow(clippy::too_many_arguments)]
-pub fn attend_gather_q_with<Q: QuantRows, V: Rows>(
-    backend: KernelBackend,
-    query_q: &[i8],
-    query_scale: f32,
-    keys: Q,
-    values: V,
-    rows: &[usize],
-    scale: f32,
-    weights: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    assert_eq!(query_q.len(), keys.dim(), "query/key dimension mismatch");
-    out.fill(0.0);
-    if rows.is_empty() {
-        return;
-    }
-    weights.clear();
-    weights.resize(rows.len(), 0.0);
-    dot_gather_q_with(backend, query_q, query_scale, keys, rows, scale, weights);
-    softmax_in_place(weights);
-    weighted_sum_gather_with(backend, weights, values, rows, out);
+/// [`KernelBackend::quantize_row_i8`] on [`active_backend`].
+pub fn quantize_row_i8(src: &[f32], out: &mut [i8]) -> f32 {
+    active_backend().quantize_row_i8(src, out)
+}
+
+/// [`KernelBackend::quantize_arena_i8`] on [`active_backend`].
+#[must_use]
+pub fn quantize_arena_i8(src: &[f32], dim: usize) -> (Vec<i8>, Vec<f32>) {
+    active_backend().quantize_arena_i8(src, dim)
 }
 
 /// Indices `0..n` ranked best-first under `cmp` (where `Ordering::Less`
@@ -1153,7 +1002,7 @@ mod tests {
         let a: Vec<f32> = (0..37).map(|i| (i as f32) * 0.25 - 3.0).collect();
         let b: Vec<f32> = (0..37).map(|i| 1.5 - (i as f32) * 0.125).collect();
         let naive: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert!((dot(&a, &b) - naive).abs() <= 1e-4 * naive.abs().max(1.0));
+        assert!((active_backend().dot(&a, &b) - naive).abs() <= 1e-4 * naive.abs().max(1.0));
     }
 
     #[test]
@@ -1173,13 +1022,12 @@ mod tests {
     fn unsupported_backend_clamps_to_scalar_dispatch() {
         // Whatever the host, asking every tier for a dot must run (clamp
         // guarantees unsupported tiers degrade to scalar, never UB) and
-        // the scalar tier must equal the un-suffixed reference exactly
-        // when it is the active backend's clamped target.
+        // stay within tolerance of the scalar tier.
         let a: Vec<f32> = (0..19).map(|i| (i as f32) * 0.5 - 4.0).collect();
         let b: Vec<f32> = (0..19).map(|i| 2.0 - (i as f32) * 0.25).collect();
-        let scalar = dot_with(KernelBackend::Scalar, &a, &b);
+        let scalar = KernelBackend::Scalar.dot(&a, &b);
         for backend in KernelBackend::ALL {
-            let d = dot_with(backend, &a, &b);
+            let d = backend.dot(&a, &b);
             assert!((d - scalar).abs() <= 1e-4 * scalar.abs().max(1.0));
         }
     }
@@ -1188,9 +1036,9 @@ mod tests {
     fn every_supported_tier_matches_scalar_i8_exactly() {
         let a: Vec<i8> = (0..133).map(|i| ((i * 37) % 255) as i8).collect();
         let b: Vec<i8> = (0..133).map(|i| ((i * 91) % 253) as i8).collect();
-        let scalar = dot_i8_with(KernelBackend::Scalar, &a, &b);
+        let scalar = KernelBackend::Scalar.dot_i8(&a, &b);
         for backend in KernelBackend::supported() {
-            assert_eq!(dot_i8_with(backend, &a, &b), scalar, "{}", backend.label());
+            assert_eq!(backend.dot_i8(&a, &b), scalar, "{}", backend.label());
         }
     }
 
@@ -1230,7 +1078,7 @@ mod tests {
         let naive = attention_output(&query, &kr, &vr);
         let mut out = vec![0.0f32; dim];
         let mut scratch = Vec::new();
-        attend_gather(
+        active_backend().attend_gather(
             &query,
             RowView::contiguous(&keys, dim),
             RowView::contiguous(&values, dim),
@@ -1253,7 +1101,7 @@ mod tests {
         let values = [3.0f32, 4.0];
         let mut out = vec![7.0f32; 2];
         let mut scratch = Vec::new();
-        attend_gather(
+        active_backend().attend_gather(
             &[1.0, 0.0],
             RowView::contiguous(&keys, 2),
             RowView::contiguous(&values, 2),
@@ -1305,7 +1153,7 @@ mod tests {
     fn quantize_roundtrip_error_is_bounded() {
         let src: Vec<f32> = (0..37).map(|i| (i as f32) * 0.37 - 6.0).collect();
         let mut q = vec![0i8; src.len()];
-        let scale = quantize_row_i8(&src, &mut q);
+        let scale = active_backend().quantize_row_i8(&src, &mut q);
         let mut back = vec![0.0f32; src.len()];
         dequantize_row(&q, scale, &mut back);
         for (x, y) in src.iter().zip(&back) {
@@ -1320,7 +1168,7 @@ mod tests {
     fn quantize_zero_row_has_zero_scale() {
         let src = [0.0f32; 5];
         let mut q = [1i8; 5];
-        assert_eq!(quantize_row_i8(&src, &mut q), 0.0);
+        assert_eq!(active_backend().quantize_row_i8(&src, &mut q), 0.0);
         assert_eq!(q, [0i8; 5]);
     }
 
@@ -1330,10 +1178,10 @@ mod tests {
             .map(|i| ((i * 29) % 31) as f32 * 0.17 - 2.0)
             .collect();
         let mut expect_q = vec![0i8; src.len()];
-        let expect_scale = quantize_row_i8_with(KernelBackend::Scalar, &src, &mut expect_q);
+        let expect_scale = KernelBackend::Scalar.quantize_row_i8(&src, &mut expect_q);
         for backend in KernelBackend::supported() {
             let mut q = vec![0i8; src.len()];
-            let scale = quantize_row_i8_with(backend, &src, &mut q);
+            let scale = backend.quantize_row_i8(&src, &mut q);
             assert_eq!(
                 scale.to_bits(),
                 expect_scale.to_bits(),
@@ -1355,7 +1203,7 @@ mod tests {
         let mut s = vec![9.0f32; 1024];
         let cap_q = q.capacity();
         let cap_s = s.capacity();
-        quantize_arena_i8_into(&src, dim, &mut q, &mut s);
+        active_backend().quantize_arena_i8_into(&src, dim, &mut q, &mut s);
         assert_eq!(q, q0);
         assert_eq!(s, s0);
         assert_eq!(q.capacity(), cap_q, "scratch capacity must be reused");
@@ -1366,7 +1214,7 @@ mod tests {
     fn cell3_snap_uses_five_levels() {
         let src = [1.0f32, -1.0, 0.1, 0.6, -0.4];
         let mut q = [0i8; 5];
-        let scale = quantize_row_cell3(&src, &mut q);
+        let scale = active_backend().quantize_row_cell3(&src, &mut q);
         assert!((scale - 0.5).abs() < 1e-9);
         assert_eq!(q, [2, -2, 0, 1, -1]);
     }
@@ -1380,7 +1228,7 @@ mod tests {
             .zip(&b)
             .map(|(&x, &y)| i32::from(x) * i32::from(y))
             .sum();
-        assert_eq!(dot_i8(&a, &b), naive);
+        assert_eq!(active_backend().dot_i8(&a, &b), naive);
     }
 
     #[test]
@@ -1394,19 +1242,19 @@ mod tests {
         let view = QuantRowView::contiguous(&qkeys, &scales, dim);
         let query: Vec<f32> = (0..dim).map(|i| (i as f32) * 0.1 - 0.5).collect();
         let mut qq = vec![0i8; dim];
-        let qs = quantize_row_i8(&query, &mut qq);
+        let qs = active_backend().quantize_row_i8(&query, &mut qq);
         let rows: Vec<usize> = (0..n).collect();
         let mut q = vec![0.0f32; n];
-        dot_gather_q(&qq, qs, view, &rows, 2.0, &mut q);
+        active_backend().dot_gather_q(&qq, qs, view, &rows, 2.0, &mut q);
         // The int8 scores stay close to the f32 kernel.
         let mut f = vec![0.0f32; n];
-        dot_gather(&query, RowView::contiguous(&keys, dim), &rows, 2.0, &mut f);
+        active_backend().dot_gather(&query, RowView::contiguous(&keys, dim), &rows, 2.0, &mut f);
         for (x, y) in q.iter().zip(&f) {
             assert!((x - y).abs() <= 0.05 * y.abs().max(1.0), "{q:?} vs {f:?}");
         }
         // The resident-scan kernel differs only in its rescale association.
         let mut scan = vec![0.0f32; n];
-        dot_gather_q_scan(&qq, qs, view, &rows, 2.0, &mut scan);
+        active_backend().dot_gather_q_scan(&qq, qs, view, &rows, 2.0, &mut scan);
         for (x, y) in scan.iter().zip(&q) {
             assert!(
                 (x - y).abs() <= 1e-5 * y.abs().max(1.0),
@@ -1426,13 +1274,13 @@ mod tests {
         let query: Vec<f32> = (0..dim).map(|i| 0.4 - (i as f32) * 0.09).collect();
         let (qkeys, scales) = quantize_arena_i8(&keys, dim);
         let mut qq = vec![0i8; dim];
-        let qs = quantize_row_i8(&query, &mut qq);
+        let qs = active_backend().quantize_row_i8(&query, &mut qq);
         let rows = [0usize, 3, 4, 7, 9];
         let scale = 1.0 / (dim as f32).sqrt();
         let (mut wq, mut wf) = (Vec::new(), Vec::new());
         let mut out_q = vec![0.0f32; dim];
         let mut out_f = vec![0.0f32; dim];
-        attend_gather_q(
+        active_backend().attend_gather_q(
             &qq,
             qs,
             QuantRowView::contiguous(&qkeys, &scales, dim),
@@ -1442,7 +1290,7 @@ mod tests {
             &mut wq,
             &mut out_q,
         );
-        attend_gather(
+        active_backend().attend_gather(
             &query,
             RowView::contiguous(&keys, dim),
             RowView::contiguous(&values, dim),
@@ -1458,7 +1306,7 @@ mod tests {
             );
         }
         // Empty gather is a deterministic zero vector, like the f32 twin.
-        attend_gather_q(
+        active_backend().attend_gather_q(
             &qq,
             qs,
             QuantRowView::contiguous(&qkeys, &scales, dim),
@@ -1487,7 +1335,7 @@ mod tests {
         let query = vec![2.0e3f32, 1.0e3, -2.0e3, 1.5e3];
         let mut weights = Vec::new();
         let mut out = vec![0.0f32; dim];
-        attend_prefix(
+        active_backend().attend_prefix(
             &query,
             RowView::contiguous(&keys, dim),
             RowView::contiguous(&values, dim),
@@ -1505,7 +1353,7 @@ mod tests {
         assert!(weights.iter().all(|w| w.is_finite() && *w >= 0.0));
 
         let rows = [0usize, 2];
-        attend_gather(
+        active_backend().attend_gather(
             &query,
             RowView::contiguous(&keys, dim),
             RowView::contiguous(&values, dim),
@@ -1529,10 +1377,10 @@ mod tests {
         let view = RowView::contiguous(&keys, dim);
         let q = [0.5f32, -0.5, 1.0, 0.25];
         let mut a = vec![0.0f32; 6];
-        dot_prefix(&q, view, 2.0, &mut a);
+        active_backend().dot_prefix(&q, view, 2.0, &mut a);
         let rows: Vec<usize> = (0..6).collect();
         let mut b = vec![0.0f32; 6];
-        dot_gather(&q, view, &rows, 2.0, &mut b);
+        active_backend().dot_gather(&q, view, &rows, 2.0, &mut b);
         assert_eq!(a, b);
     }
 }

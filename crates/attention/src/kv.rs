@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::kernels;
+use crate::kernels::{self, active_backend};
 use crate::paged::{Page, PageArena, PageHandle, PagedQuantRows, PagedRows, DEFAULT_PAGE_ROWS};
 use crate::AttentionError;
 
@@ -47,8 +47,8 @@ use crate::AttentionError;
 /// quantized stores keep a shadow `i8` key arena with one scale per row
 /// (1 byte/element, a ~4× traffic reduction), and the decode hot path
 /// scores queries against it with the integer kernels
-/// ([`dot_gather_q_scan`](crate::kernels::dot_gather_q_scan),
-/// [`attend_gather_q`](crate::kernels::attend_gather_q)). Values stay
+/// ([`dot_gather_q_scan`](crate::KernelBackend::dot_gather_q_scan),
+/// [`attend_gather_q`](crate::KernelBackend::attend_gather_q)). Values stay
 /// `f32` in every mode, mirroring the array (only the CAM/CIM key storage
 /// is reduced-precision). Queries are quantized per step to symmetric
 /// `i8`, so the ablation isolates *key-storage* precision — the paper's
@@ -97,8 +97,8 @@ impl Precision {
         match self {
             // lint:allow(no-panic-in-lib): documented contract — callers gate on needs_quant(), and F32 stores allocate no shadow arena to quantize into
             Precision::F32 => unreachable!("f32 stores keep no quantized arena"),
-            Precision::Int8 => kernels::quantize_row_i8(src, out),
-            Precision::Cell3Bit => kernels::quantize_row_cell3(src, out),
+            Precision::Int8 => active_backend().quantize_row_i8(src, out),
+            Precision::Cell3Bit => active_backend().quantize_row_cell3(src, out),
         }
     }
 }
@@ -282,9 +282,9 @@ impl KvStore {
     /// the precision already matches.
     ///
     /// The [`Precision::Int8`] path runs the bulk
-    /// [`kernels::quantize_arena_i8_into`] over each page's contiguous key
-    /// plane, reusing one scratch pair across all pages — no per-page (or
-    /// per-row) allocation.
+    /// [`quantize_arena_i8_into`](crate::KernelBackend::quantize_arena_i8_into)
+    /// over each page's contiguous key plane, reusing one scratch pair
+    /// across all pages — no per-page (or per-row) allocation.
     pub fn requantize(&mut self, precision: Precision) {
         if precision == self.precision {
             return;
@@ -293,6 +293,7 @@ impl KvStore {
         let dim = self.dim;
         let mut q_scratch: Vec<i8> = Vec::new();
         let mut s_scratch: Vec<f32> = Vec::new();
+        let backend = active_backend();
         for idx in 0..self.pages.len() {
             let page = self.page_mut(idx);
             match precision {
@@ -301,19 +302,14 @@ impl KvStore {
                     page.qscales.fill(0.0);
                 }
                 Precision::Int8 => {
-                    kernels::quantize_arena_i8_into(
-                        &page.keys,
-                        dim,
-                        &mut q_scratch,
-                        &mut s_scratch,
-                    );
+                    backend.quantize_arena_i8_into(&page.keys, dim, &mut q_scratch, &mut s_scratch);
                     page.qkeys.copy_from_slice(&q_scratch);
                     page.qscales.copy_from_slice(&s_scratch);
                 }
                 Precision::Cell3Bit => {
                     for row in 0..page.qscales.len() {
                         let base = row * dim;
-                        page.qscales[row] = kernels::quantize_row_cell3(
+                        page.qscales[row] = backend.quantize_row_cell3(
                             &page.keys[base..base + dim],
                             &mut page.qkeys[base..base + dim],
                         );

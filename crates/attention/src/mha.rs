@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::{self, RowView};
+use crate::kernels::{active_backend, RowView};
 use crate::matrix::{softmax_in_place, Matrix};
 use crate::AttentionError;
 
@@ -165,6 +165,7 @@ impl MultiHeadAttention {
             // slicing below in bounds (the projections are empty).
             return concat.matmul(&self.w_o);
         }
+        let backend = active_backend();
         let mut weights = Vec::with_capacity(seq);
         // Per head, the projection rows are strided slices of the flat
         // `seq × d_model` buffers; the fused kernel attends over them
@@ -176,7 +177,7 @@ impl MultiHeadAttention {
             let values = RowView::new(&v.as_slice()[lo..], d, dh);
             for t in 0..seq {
                 let q_t = &q.row(t)[lo..hi];
-                kernels::attend_prefix(
+                backend.attend_prefix(
                     q_t,
                     keys,
                     values,
@@ -217,10 +218,11 @@ impl MultiHeadAttention {
         let q = self.project_q(hidden)?;
         let k = self.project_k(hidden)?;
         let keys = RowView::new(&k.as_slice()[lo..], d, dh);
+        let backend = active_backend();
         for t in 0..seq {
             let q_t = &q.row(t)[lo..hi];
             let row = probs.row_mut(t);
-            kernels::dot_prefix(q_t, keys, scale, &mut row[..t + 1]);
+            backend.dot_prefix(q_t, keys, scale, &mut row[..t + 1]);
             softmax_in_place(&mut row[..t + 1]);
         }
         Ok(probs)

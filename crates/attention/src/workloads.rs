@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::kernels::{self, RowView};
+use crate::kernels::{active_backend, RowView};
 use crate::matrix::Matrix;
 
 /// A planted "needle" fact: one prefill token that later queries must
@@ -114,7 +114,7 @@ impl DecodeWorkload {
     /// reference the pruned policies are compared against).
     ///
     /// Implemented over flat key/value arenas with the fused
-    /// [`kernels::attend_prefix`] kernel: step `s` attends over the first
+    /// [`attend_prefix`](crate::KernelBackend::attend_prefix) kernel: step `s` attends over the first
     /// `prefill + s` rows (the prompt plus every previously generated
     /// token).
     #[must_use]
@@ -135,9 +135,10 @@ impl DecodeWorkload {
         let prefill = self.prefill_keys.len();
         let mut weights = Vec::with_capacity(total);
         let mut outputs = Vec::with_capacity(self.decode_queries.len());
+        let backend = active_backend();
         for (step, q) in self.decode_queries.iter().enumerate() {
             let mut out = vec![0.0f32; dim];
-            kernels::attend_prefix(
+            backend.attend_prefix(
                 q,
                 keys,
                 values,

@@ -219,7 +219,8 @@ proptest! {
         n in 1usize..16,
         seed in 0u64..500,
     ) {
-        use unicaim_attention::kernels::{attend_gather, RowView};
+        use unicaim_attention::kernels::RowView;
+        let backend = unicaim_attention::active_backend();
         let keys = Matrix::random_normal(n, dim, 1.0, seed);
         let values = Matrix::random_normal(n, dim, 1.0, seed ^ 11);
         let query = Matrix::random_normal(1, dim, 1.0, seed ^ 22);
@@ -230,7 +231,7 @@ proptest! {
         let naive = attention_output(query.row(0), &kr, &vr);
         let mut out = vec![0.0f32; dim];
         let mut scratch = Vec::new();
-        attend_gather(
+        backend.attend_gather(
             query.row(0),
             RowView::contiguous(keys.as_slice(), dim),
             RowView::contiguous(values.as_slice(), dim),
@@ -257,14 +258,14 @@ proptest! {
         a in proptest::collection::vec(-8.0f32..8.0, 1..96),
         seed in 0u64..500,
     ) {
-        use unicaim_attention::kernels::{dot, dot_i8, quantize_row_i8};
+        let backend = unicaim_attention::active_backend();
         let b: Vec<f32> = Matrix::random_normal(1, a.len(), 2.0, seed).row(0).to_vec();
         let mut qa = vec![0i8; a.len()];
         let mut qb = vec![0i8; b.len()];
-        let sa = quantize_row_i8(&a, &mut qa);
-        let sb = quantize_row_i8(&b, &mut qb);
-        let exact = dot(&a, &b);
-        let quantized = sa * sb * dot_i8(&qa, &qb) as f32;
+        let sa = backend.quantize_row_i8(&a, &mut qa);
+        let sb = backend.quantize_row_i8(&b, &mut qb);
+        let exact = backend.dot(&a, &b);
+        let quantized = sa * sb * backend.dot_i8(&qa, &qb) as f32;
         let sum_b: f32 = b.iter().map(|x| x.abs()).sum();
         let sum_qa: f32 = qa.iter().map(|&q| sa * f32::from(q).abs()).sum();
         let bound = 0.5 * sa * sum_b + 0.5 * sb * sum_qa;
@@ -283,13 +284,14 @@ proptest! {
     fn cell3_snap_is_idempotent(
         src in proptest::collection::vec(-4.0f32..4.0, 1..64),
     ) {
-        use unicaim_attention::kernels::{dequantize_row, quantize_row_cell3};
+        use unicaim_attention::kernels::dequantize_row;
+        let backend = unicaim_attention::active_backend();
         let mut q1 = vec![0i8; src.len()];
-        let s1 = quantize_row_cell3(&src, &mut q1);
+        let s1 = backend.quantize_row_cell3(&src, &mut q1);
         let mut snapped = vec![0.0f32; src.len()];
         dequantize_row(&q1, s1, &mut snapped);
         let mut q2 = vec![0i8; src.len()];
-        let s2 = quantize_row_cell3(&snapped, &mut q2);
+        let s2 = backend.quantize_row_cell3(&snapped, &mut q2);
         prop_assert_eq!(&q1, &q2);
         prop_assert_eq!(s1, s2);
         // And every level is one of the five signed cell levels.
@@ -305,22 +307,20 @@ proptest! {
         n in 1usize..12,
         seed in 0u64..300,
     ) {
-        use unicaim_attention::kernels::{
-            attend_gather, attend_gather_q, quantize_arena_i8, quantize_row_i8, QuantRowView,
-            RowView,
-        };
+        use unicaim_attention::kernels::{QuantRowView, RowView};
+        let backend = unicaim_attention::active_backend();
         let keys = Matrix::random_normal(n, dim, 1.0, seed);
         let values = Matrix::random_normal(n, dim, 1.0, seed ^ 1);
         let query = Matrix::random_normal(1, dim, 1.0, seed ^ 2);
-        let (qkeys, scales) = quantize_arena_i8(keys.as_slice(), dim);
+        let (qkeys, scales) = backend.quantize_arena_i8(keys.as_slice(), dim);
         let mut qq = vec![0i8; dim];
-        let qs = quantize_row_i8(query.row(0), &mut qq);
+        let qs = backend.quantize_row_i8(query.row(0), &mut qq);
         let rows: Vec<usize> = (0..n).step_by(2).collect();
         let scale = 1.0 / (dim as f32).sqrt();
         let (mut w1, mut w2) = (Vec::new(), Vec::new());
         let mut out_q = vec![0.0f32; dim];
         let mut out_f = vec![0.0f32; dim];
-        attend_gather_q(
+        backend.attend_gather_q(
             &qq,
             qs,
             QuantRowView::contiguous(&qkeys, &scales, dim),
@@ -330,7 +330,7 @@ proptest! {
             &mut w1,
             &mut out_q,
         );
-        attend_gather(
+        backend.attend_gather(
             query.row(0),
             RowView::contiguous(keys.as_slice(), dim),
             RowView::contiguous(values.as_slice(), dim),
@@ -357,10 +357,8 @@ proptest! {
         page_rows in 1usize..7,
         seed in 0u64..300,
     ) {
-        use unicaim_attention::kernels::{
-            attend_gather, attend_gather_q, attend_prefix, dot_gather, dot_gather_q,
-            dot_gather_q_scan, dot_prefix, quantize_row_i8, QuantRowView, RowView,
-        };
+        use unicaim_attention::kernels::{QuantRowView, RowView};
+        let backend = unicaim_attention::active_backend();
         use unicaim_attention::{PageArena, Precision};
         let keys = Matrix::random_normal(n, dim, 1.0, seed);
         let values = Matrix::random_normal(n, dim, 1.0, seed ^ 1);
@@ -384,44 +382,44 @@ proptest! {
         let rows: Vec<usize> = (0..n).step_by(2).collect();
         let scale = 1.0 / (dim as f32).sqrt();
         let mut qq = vec![0i8; dim];
-        let qs = quantize_row_i8(query.row(0), &mut qq);
+        let qs = backend.quantize_row_i8(query.row(0), &mut qq);
 
         let (mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n]);
-        dot_prefix(query.row(0), store.keys_view(), scale, &mut a[..n]);
-        dot_prefix(query.row(0), flat_k, scale, &mut b[..n]);
+        backend.dot_prefix(query.row(0), store.keys_view(), scale, &mut a[..n]);
+        backend.dot_prefix(query.row(0), flat_k, scale, &mut b[..n]);
         prop_assert_eq!(&a, &b);
         let (mut a, mut b) = (vec![0.0f32; rows.len()], vec![0.0f32; rows.len()]);
-        dot_gather(query.row(0), store.keys_view(), &rows, scale, &mut a);
-        dot_gather(query.row(0), flat_k, &rows, scale, &mut b);
+        backend.dot_gather(query.row(0), store.keys_view(), &rows, scale, &mut a);
+        backend.dot_gather(query.row(0), flat_k, &rows, scale, &mut b);
         prop_assert_eq!(&a, &b);
         let (mut a, mut b) = (vec![0.0f32; rows.len()], vec![0.0f32; rows.len()]);
-        dot_gather_q(&qq, qs, paged_q, &rows, scale, &mut a);
-        dot_gather_q(&qq, qs, flat_qk, &rows, scale, &mut b);
+        backend.dot_gather_q(&qq, qs, paged_q, &rows, scale, &mut a);
+        backend.dot_gather_q(&qq, qs, flat_qk, &rows, scale, &mut b);
         prop_assert_eq!(&a, &b);
-        dot_gather_q_scan(&qq, qs, paged_q, &rows, scale, &mut a);
-        dot_gather_q_scan(&qq, qs, flat_qk, &rows, scale, &mut b);
+        backend.dot_gather_q_scan(&qq, qs, paged_q, &rows, scale, &mut a);
+        backend.dot_gather_q_scan(&qq, qs, flat_qk, &rows, scale, &mut b);
         prop_assert_eq!(&a, &b);
 
         let (mut w1, mut w2) = (Vec::new(), Vec::new());
         let (mut a, mut b) = (vec![0.0f32; dim], vec![0.0f32; dim]);
-        attend_gather(
+        backend.attend_gather(
             query.row(0), store.keys_view(), store.values_view(),
             &rows, scale, &mut w1, &mut a,
         );
-        attend_gather(query.row(0), flat_k, flat_v, &rows, scale, &mut w2, &mut b);
+        backend.attend_gather(query.row(0), flat_k, flat_v, &rows, scale, &mut w2, &mut b);
         prop_assert_eq!(&a, &b);
         let (mut a, mut b) = (vec![0.0f32; dim], vec![0.0f32; dim]);
-        attend_prefix(
+        backend.attend_prefix(
             query.row(0), store.keys_view(), store.values_view(),
             n, scale, &mut w1, &mut a,
         );
-        attend_prefix(query.row(0), flat_k, flat_v, n, scale, &mut w2, &mut b);
+        backend.attend_prefix(query.row(0), flat_k, flat_v, n, scale, &mut w2, &mut b);
         prop_assert_eq!(&a, &b);
         let (mut a, mut b) = (vec![0.0f32; dim], vec![0.0f32; dim]);
-        attend_gather_q(
+        backend.attend_gather_q(
             &qq, qs, paged_q, store.values_view(), &rows, scale, &mut w1, &mut a,
         );
-        attend_gather_q(&qq, qs, flat_qk, flat_v, &rows, scale, &mut w2, &mut b);
+        backend.attend_gather_q(&qq, qs, flat_qk, flat_v, &rows, scale, &mut w2, &mut b);
         prop_assert_eq!(&a, &b);
     }
 

@@ -103,11 +103,12 @@ fn bench_flat_kernels(c: &mut Criterion) {
     let q = Matrix::random_normal(1, dim, 1.0, 13);
     let gathered: Vec<usize> = (0..k).map(|i| (i * 9) % rows).collect();
     let scores: Vec<f32> = keys.as_slice()[..rows].to_vec();
+    let backend = kernels::active_backend();
     let mut group = c.benchmark_group("flat_kernels");
     group.bench_function("dot_gather/576x128/k64", |b| {
         let mut out = vec![0.0f32; k];
         b.iter(|| {
-            kernels::dot_gather(
+            backend.dot_gather(
                 q.row(0),
                 RowView::contiguous(keys.as_slice(), dim),
                 &gathered,
@@ -121,7 +122,7 @@ fn bench_flat_kernels(c: &mut Criterion) {
         let mut out = vec![0.0f32; dim];
         let mut weights = Vec::with_capacity(k);
         b.iter(|| {
-            kernels::attend_gather(
+            backend.attend_gather(
                 q.row(0),
                 RowView::contiguous(keys.as_slice(), dim),
                 RowView::contiguous(values.as_slice(), dim),
@@ -137,13 +138,13 @@ fn bench_flat_kernels(c: &mut Criterion) {
         b.iter(|| black_box(kernels::partial_top_k(&scores, k)));
     });
     // Quantized twins: i8 arena with per-row scales, pre-quantized query.
-    let (qkeys, qscales) = kernels::quantize_arena_i8(keys.as_slice(), dim);
+    let (qkeys, qscales) = backend.quantize_arena_i8(keys.as_slice(), dim);
     let mut query_q = vec![0i8; dim];
-    let query_scale = kernels::quantize_row_i8(q.row(0), &mut query_q);
+    let query_scale = backend.quantize_row_i8(q.row(0), &mut query_q);
     group.bench_function("dot_gather_q/576x128/k64", |b| {
         let mut out = vec![0.0f32; k];
         b.iter(|| {
-            kernels::dot_gather_q(
+            backend.dot_gather_q(
                 &query_q,
                 query_scale,
                 QuantRowView::contiguous(&qkeys, &qscales, dim),
@@ -158,7 +159,7 @@ fn bench_flat_kernels(c: &mut Criterion) {
         let mut out = vec![0.0f32; dim];
         let mut weights = Vec::with_capacity(k);
         b.iter(|| {
-            kernels::attend_gather_q(
+            backend.attend_gather_q(
                 &query_q,
                 query_scale,
                 QuantRowView::contiguous(&qkeys, &qscales, dim),
@@ -177,7 +178,7 @@ fn bench_flat_kernels(c: &mut Criterion) {
         let mut q = Vec::new();
         let mut s = Vec::new();
         b.iter(|| {
-            kernels::quantize_arena_i8_into(keys.as_slice(), dim, &mut q, &mut s);
+            backend.quantize_arena_i8_into(keys.as_slice(), dim, &mut q, &mut s);
             black_box((&q, &s));
         });
     });

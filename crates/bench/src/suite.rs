@@ -268,6 +268,7 @@ fn kernels_suite() -> Vec<Case> {
     let query = Matrix::random_normal(1, dim, 1.0, 13);
     let gathered: Vec<usize> = (0..k).map(|i| (i * 9) % rows).collect();
     let scores: Vec<f32> = keys.as_slice()[..rows].to_vec();
+    let backend = kernels::active_backend();
 
     let mut store = KvStore::new(96, 64);
     let sk = Matrix::random_normal(96, 64, 1.0, 14);
@@ -291,7 +292,7 @@ fn kernels_suite() -> Vec<Case> {
             let gathered = gathered.clone();
             let mut out = vec![0.0f32; k];
             move || {
-                kernels::dot_gather(
+                backend.dot_gather(
                     query.row(0),
                     RowView::contiguous(keys.as_slice(), dim),
                     &gathered,
@@ -309,7 +310,7 @@ fn kernels_suite() -> Vec<Case> {
             let mut out = vec![0.0f32; dim];
             let mut weights = Vec::with_capacity(k);
             move || {
-                kernels::attend_gather(
+                backend.attend_gather(
                     query.row(0),
                     RowView::contiguous(keys.as_slice(), dim),
                     RowView::contiguous(values.as_slice(), dim),
@@ -322,13 +323,13 @@ fn kernels_suite() -> Vec<Case> {
             }
         }),
         Case::new("dot_gather_q/576x128/k64", 200, {
-            let (qkeys, qscales) = kernels::quantize_arena_i8(keys.as_slice(), dim);
+            let (qkeys, qscales) = backend.quantize_arena_i8(keys.as_slice(), dim);
             let mut query_q = vec![0i8; dim];
-            let query_scale = kernels::quantize_row_i8(query.row(0), &mut query_q);
+            let query_scale = backend.quantize_row_i8(query.row(0), &mut query_q);
             let gathered = gathered.clone();
             let mut out = vec![0.0f32; k];
             move || {
-                kernels::dot_gather_q(
+                backend.dot_gather_q(
                     &query_q,
                     query_scale,
                     QuantRowView::contiguous(&qkeys, &qscales, dim),
@@ -340,14 +341,14 @@ fn kernels_suite() -> Vec<Case> {
             }
         }),
         Case::new("attend_gather_q/576x128/k64", 200, {
-            let (qkeys, qscales) = kernels::quantize_arena_i8(keys.as_slice(), dim);
+            let (qkeys, qscales) = backend.quantize_arena_i8(keys.as_slice(), dim);
             let mut query_q = vec![0i8; dim];
-            let query_scale = kernels::quantize_row_i8(query.row(0), &mut query_q);
+            let query_scale = backend.quantize_row_i8(query.row(0), &mut query_q);
             let gathered = gathered.clone();
             let mut out = vec![0.0f32; dim];
             let mut weights = Vec::with_capacity(k);
             move || {
-                kernels::attend_gather_q(
+                backend.attend_gather_q(
                     &query_q,
                     query_scale,
                     QuantRowView::contiguous(&qkeys, &qscales, dim),
@@ -367,7 +368,7 @@ fn kernels_suite() -> Vec<Case> {
             let mut q = Vec::new();
             let mut scales = Vec::new();
             move || {
-                kernels::quantize_arena_i8_into(keys.as_slice(), dim, &mut q, &mut scales);
+                backend.quantize_arena_i8_into(keys.as_slice(), dim, &mut q, &mut scales);
                 std::hint::black_box((&q, &scales));
             }
         }),
@@ -378,7 +379,7 @@ fn kernels_suite() -> Vec<Case> {
             let keys = store.keys_view();
             let mut acc = 0.0f32;
             for (_, slot) in store.iter_tokens() {
-                acc += kernels::dot(sq.row(0), keys.row(slot));
+                acc += backend.dot(sq.row(0), keys.row(slot));
             }
             std::hint::black_box(acc);
         }),
@@ -668,8 +669,7 @@ fn simd_speedup_suite() -> Vec<Case> {
                     let mut out = vec![0.0f32; k];
                     let mut run = |tier: KernelBackend| {
                         median_ns(200, || {
-                            kernels::dot_gather_with(
-                                tier,
+                            tier.dot_gather(
                                 query.row(0),
                                 RowView::contiguous(keys.as_slice(), dim),
                                 &gathered,
@@ -690,9 +690,9 @@ fn simd_speedup_suite() -> Vec<Case> {
             RATIO_TOLERANCE,
             "x",
             {
-                let (qkeys, qscales) = kernels::quantize_arena_i8(keys.as_slice(), dim);
+                let (qkeys, qscales) = backend.quantize_arena_i8(keys.as_slice(), dim);
                 let mut query_q = vec![0i8; dim];
-                let query_scale = kernels::quantize_row_i8(query.row(0), &mut query_q);
+                let query_scale = backend.quantize_row_i8(query.row(0), &mut query_q);
                 let gathered = gathered.clone();
                 move || {
                     if backend == KernelBackend::Scalar {
@@ -701,8 +701,7 @@ fn simd_speedup_suite() -> Vec<Case> {
                     let mut out = vec![0.0f32; k];
                     let mut run = |tier: KernelBackend| {
                         median_ns(200, || {
-                            kernels::dot_gather_q_with(
-                                tier,
+                            tier.dot_gather_q(
                                 &query_q,
                                 query_scale,
                                 QuantRowView::contiguous(&qkeys, &qscales, dim),
@@ -731,8 +730,7 @@ fn simd_speedup_suite() -> Vec<Case> {
                 let mut out = vec![0.0f32; dim];
                 let mut run = |tier: KernelBackend| {
                     median_ns(200, || {
-                        kernels::attend_gather_with(
-                            tier,
+                        tier.attend_gather(
                             query.row(0),
                             RowView::contiguous(keys.as_slice(), dim),
                             RowView::contiguous(values.as_slice(), dim),

@@ -284,6 +284,23 @@ impl UniCaimArray {
         self.stats = OpStats::new();
     }
 
+    /// Forgets the sequence the array holds: every row is freed (row→token
+    /// map, key levels, scales), every accumulation capacitor returns to
+    /// `acc_init`, and the read-noise nonce rewinds, so the next sequence
+    /// runs exactly as on a freshly built array. The variation offsets and
+    /// the ADC calibration depend only on the configuration and are kept;
+    /// the operation statistics are cleared separately by
+    /// [`reset_stats`](Self::reset_stats).
+    pub fn reset_sequence(&mut self) {
+        self.levels.fill(KeyLevel::Zero);
+        self.tokens.fill(None);
+        self.scales.fill(0.0);
+        for acc in &mut self.acc {
+            acc.reset(self.config.acc_init);
+        }
+        self.read_nonce = 0;
+    }
+
     /// The logical token stored in `row`, if any.
     #[must_use]
     pub fn token_of_row(&self, row: usize) -> Option<usize> {
@@ -907,6 +924,24 @@ mod tests {
         );
         assert!(a.acc_voltage(0) > a.acc_voltage(2));
         assert!(a.acc_voltage(2) > a.acc_voltage(1));
+    }
+
+    #[test]
+    fn reset_sequence_restores_a_fresh_array() {
+        let config = ArrayConfig {
+            read_noise_rel: 0.02,
+            ..small_config()
+        };
+        let mut a = UniCaimArray::new(config.clone());
+        a.write_row_scaled(0, 7, &key_from(&[1.0; 8]), 0.3).unwrap();
+        a.write_row_scaled(5, 9, &key_from(&[-1.0; 8]), 0.6)
+            .unwrap();
+        let search = a.cam_top_k(&[QueryLevel::PosOne; 8], 1).unwrap();
+        a.accumulate_and_candidate(&search);
+        a.reset_sequence();
+        a.reset_stats();
+        // Debug prints every field, f64s exactly.
+        assert_eq!(format!("{a:?}"), format!("{:?}", UniCaimArray::new(config)));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use unicaim_attention::kernels::{self, RowView};
+use unicaim_attention::kernels::{active_backend, RowView};
 use unicaim_attention::metrics::{cosine_similarity, relative_l2_error, set_f1, Mean};
 use unicaim_attention::softmax_in_place;
 use unicaim_attention::workloads::DecodeWorkload;
@@ -161,7 +161,9 @@ impl UniCaimEngine {
     /// Loads a workload's prefill: computes accumulated attention scores on
     /// the host (prefill runs outside the accelerator, as in the paper),
     /// keeps the top `H` heavy tokens, quantizes their keys, and writes them
-    /// into the array.
+    /// into the array. Whatever sequence the array held before is dropped
+    /// first ([`UniCaimArray::reset_sequence`]), so one engine runs any
+    /// number of sequences back to back.
     ///
     /// # Errors
     ///
@@ -174,6 +176,7 @@ impl UniCaimEngine {
                 expected: self.array.dim(),
             });
         }
+        self.array.reset_sequence();
         let attn = prefill_attention_matrix(workload);
         let acc = accumulated_prefill_scores(&attn, None);
         let keep = top_indices_by_score(&acc, self.config.h.min(workload.prefill_keys.len()));
@@ -244,7 +247,7 @@ impl UniCaimEngine {
         softmax_in_place(&mut weights);
         let rows: Vec<usize> = scored_rows.iter().map(|&(_, r, _)| r).collect();
         let mut output = vec![0.0f32; dim];
-        kernels::weighted_sum_gather(
+        active_backend().weighted_sum_gather(
             &weights,
             RowView::contiguous(&self.values, dim),
             &rows,
@@ -430,6 +433,38 @@ mod tests {
         assert_eq!(r.stats.cam_searches, 16);
         assert_eq!(r.stats.adc_conversions, 16 * 24);
         assert!(r.stats.e_adc > 0.0);
+    }
+
+    #[test]
+    fn one_engine_runs_sequences_back_to_back() {
+        // Variation and read noise on, so stale accumulators or a stale
+        // read-noise nonce would show in the second run.
+        let a = needle_task(128, 16, 1);
+        let b = needle_task(128, 16, 2);
+        let build = || {
+            let array_config = ArrayConfig {
+                dim: a.dim,
+                read_noise_rel: 0.02,
+                ..ArrayConfig::default()
+            };
+            UniCaimEngine::new(
+                array_config,
+                EngineConfig {
+                    h: 48,
+                    m: 16,
+                    k: 16,
+                },
+            )
+            .unwrap()
+        };
+        let mut reused = build();
+        let first = reused.run(&a).unwrap();
+        let second = reused.run(&b).unwrap();
+        assert_eq!(second, build().run(&b).unwrap());
+        assert_eq!(first, build().run(&a).unwrap());
+        // The call-by-call path resets the same state.
+        reused.load_prefill(&a).unwrap();
+        assert_eq!(reused.resident_tokens().len(), 48);
     }
 
     #[test]

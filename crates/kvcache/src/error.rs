@@ -77,6 +77,16 @@ pub enum HarnessError {
     /// workload with no decode steps (a request that could never produce
     /// a token).
     EmptyWorkload,
+    /// A workload's shape is inconsistent: a key, value or query row is
+    /// not `dim` long, the prefill key/value/query vectors differ in
+    /// length, or the decode key/value/query vectors and `salient_at` do.
+    /// Checked at [`ServeCore::submit`](crate::ServeCore::submit) and at
+    /// every [`DecodeSession`](crate::DecodeSession) prefill, so a
+    /// malformed request never reaches a kernel.
+    InvalidWorkload {
+        /// Human-readable description of the inconsistency.
+        reason: String,
+    },
     /// [`PolicySpec::from_name`](crate::PolicySpec::from_name) was given a
     /// name outside the registry.
     UnknownPolicy {
@@ -170,6 +180,7 @@ impl core::fmt::Display for HarnessError {
                 write!(f, "all {steps} decode steps of this session are already done")
             }
             HarnessError::EmptyWorkload => write!(f, "workload has no decode steps to run"),
+            HarnessError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
             HarnessError::UnknownPolicy { name } => write!(
                 f,
                 "unknown policy `{name}` (expected one of {:?})",
@@ -242,6 +253,9 @@ mod tests {
             },
             HarnessError::SelectedNonResident { step: 1, token: 2 },
             HarnessError::EmptyWorkload,
+            HarnessError::InvalidWorkload {
+                reason: "decode key 2 has 7 elements".into(),
+            },
             HarnessError::UnknownPolicy { name: "x".into() },
             HarnessError::InvalidServeConfig {
                 reason: "session share of 0 slots".into(),

@@ -33,7 +33,7 @@
 //! `WorkerPool` fan-out produces the same report as `Sequential`, to the
 //! bit.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 use unicaim_attention::workloads::{ArrivalEvent, DecodeWorkload};
@@ -43,7 +43,7 @@ use crate::engine::{Scheduler, SchedulerSpec};
 use crate::error::HarnessError;
 use crate::metrics::{MetricsSummary, ServerMetrics};
 use crate::prefix::PrefixRegistry;
-use crate::session::DecodeSession;
+use crate::session::{validate_workload, DecodeSession};
 use crate::sim::{SimConfig, SimResult};
 use crate::spec::PolicySpec;
 
@@ -338,7 +338,11 @@ pub struct ServeCore<'w> {
     config: ServeConfig,
     session_config: SimConfig,
     scheduler: Box<dyn Scheduler>,
-    queues: Vec<VecDeque<Pending<'w>>>,
+    /// Per-tenant queues keyed by tenant id. A tenant's queue is created
+    /// on its first submission and kept, so any id — up to `usize::MAX` —
+    /// costs one map entry.
+    queues: BTreeMap<usize, VecDeque<Pending<'w>>>,
+    /// The tenant id the next admission scan starts at.
     rr_cursor: usize,
     running: Vec<RunningMeta<'w>>,
     sessions: Vec<DecodeSession<'w, 'static>>,
@@ -361,7 +365,7 @@ impl<'w> ServeCore<'w> {
         Ok(Self {
             session_config: config.session_config(),
             scheduler: config.scheduler.build(),
-            queues: Vec::new(),
+            queues: BTreeMap::new(),
             rr_cursor: 0,
             running: Vec::new(),
             sessions: Vec::new(),
@@ -414,7 +418,7 @@ impl<'w> ServeCore<'w> {
     /// Requests currently waiting across all tenant queues.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.queues.values().map(VecDeque::len).sum()
     }
 
     /// Sessions currently decoding.
@@ -454,8 +458,9 @@ impl<'w> ServeCore<'w> {
     /// [`HarnessError::InvalidSpec`] when `spec` cannot run under this
     /// core's per-session config ([`PolicySpec::validate_for`]), and
     /// [`HarnessError::EmptyWorkload`] when `workload` has no decode
-    /// steps — checked here so a bad request fails at the front door, not
-    /// mid-flight.
+    /// steps, and [`HarnessError::InvalidWorkload`] when its rows or
+    /// vectors disagree in shape — checked here so a bad request fails at
+    /// the front door, not mid-flight.
     pub fn submit(
         &mut self,
         workload: &'w DecodeWorkload,
@@ -467,11 +472,10 @@ impl<'w> ServeCore<'w> {
         if workload.decode_queries.is_empty() {
             return Err(HarnessError::EmptyWorkload);
         }
+        validate_workload(workload)?;
         self.metrics.note_submitted(self.tick);
-        if self.queues.len() <= tenant {
-            self.queues.resize_with(tenant + 1, VecDeque::new);
-        }
-        if self.queues[tenant].len() >= self.config.queue_limit {
+        let queue = self.queues.entry(tenant).or_default();
+        if queue.len() >= self.config.queue_limit {
             self.metrics.note_rejected();
             return Ok(SubmitOutcome::Rejected);
         }
@@ -486,7 +490,6 @@ impl<'w> ServeCore<'w> {
             workload,
             spec,
         };
-        let queue = &mut self.queues[tenant];
         match priority {
             Priority::Normal => queue.push_back(pending),
             Priority::High => {
@@ -576,7 +579,7 @@ impl<'w> ServeCore<'w> {
     fn preempt_for_queued_high(&mut self) {
         let mut queued_high = self
             .queues
-            .iter()
+            .values()
             .flatten()
             .filter(|p| p.priority == Priority::High)
             .count();
@@ -595,13 +598,18 @@ impl<'w> ServeCore<'w> {
             // Head-of-line requeue: the victim re-prefills as soon as slots
             // free up again, keeping its original arrival tick (the queue
             // bound does not apply — a preempted request never bounces).
-            self.queues[meta.request.tenant].push_front(meta.request);
+            self.queues
+                .entry(meta.request.tenant)
+                .or_default()
+                .push_front(meta.request);
             queued_high = queued_high.saturating_sub(1);
         }
     }
 
     /// Round-robin admission over the tenant queues: `High` queue heads
-    /// first, then any head, while free slots remain.
+    /// first, then any head, while free slots remain. The cursor walks
+    /// tenant ids in ascending order from just past the last admitted
+    /// tenant, wrapping to the smallest id after the largest.
     fn admit_from_queues(&mut self) -> Result<(), HarnessError> {
         if self.queues.is_empty() {
             return Ok(());
@@ -611,19 +619,32 @@ impl<'w> ServeCore<'w> {
                 if self.free_slots() < self.config.session_slots {
                     return Ok(());
                 }
-                let n = self.queues.len();
-                let claimed = (0..n).map(|o| (self.rr_cursor + o) % n).find(|&t| {
-                    self.queues[t]
-                        .front()
-                        .is_some_and(|p| !high_only || p.priority == Priority::High)
-                });
+                let cursor = self.rr_cursor;
+                let claimed = self
+                    .queues
+                    .range(cursor..)
+                    .chain(self.queues.range(..cursor))
+                    .find(|(_, queue)| {
+                        queue
+                            .front()
+                            .is_some_and(|p| !high_only || p.priority == Priority::High)
+                    })
+                    .map(|(&tenant, _)| tenant);
                 let Some(tenant) = claimed else { break };
                 // `claimed` saw a front element; a vanished one means the
                 // cursor scan raced itself, so just stop admitting.
-                let Some(pending) = self.queues[tenant].pop_front() else {
+                let Some(pending) = self.queues.get_mut(&tenant).and_then(VecDeque::pop_front)
+                else {
                     break;
                 };
-                self.rr_cursor = (tenant + 1) % n;
+                // Past the largest tenant id the walk wraps to the smallest
+                // (this also keeps `tenant + 1` from overflowing).
+                let largest = self.queues.keys().next_back().copied();
+                self.rr_cursor = if largest == Some(tenant) {
+                    0
+                } else {
+                    tenant + 1
+                };
                 self.admit(pending)?;
             }
         }
@@ -825,6 +846,66 @@ mod tests {
         assert_eq!(core.metrics().summary().submitted, 0);
         core.drain().unwrap();
         assert_eq!(core.report().summary.completed, 0);
+    }
+
+    #[test]
+    fn malformed_workloads_are_rejected_at_submit() {
+        type Mutation = fn(&mut DecodeWorkload);
+        let cases: [(&str, Mutation); 12] = [
+            ("dim 0", |w| w.dim = 0),
+            ("short prefill key", |w| w.prefill_keys[5].truncate(3)),
+            ("short prefill value", |w| w.prefill_values[0].truncate(3)),
+            ("long prefill query", |w| w.prefill_queries[63].push(0.0)),
+            ("short decode query", |w| w.decode_queries[2].truncate(3)),
+            ("short decode key", |w| w.decode_keys[7].truncate(3)),
+            ("short decode value", |w| w.decode_values[1].truncate(3)),
+            ("prefill value count", |w| w.prefill_values.truncate(60)),
+            ("prefill query count", |w| w.prefill_queries.truncate(60)),
+            ("decode key count", |w| w.decode_keys.truncate(4)),
+            ("decode value count", |w| w.decode_values.truncate(4)),
+            ("salient_at count", |w| w.salient_at.truncate(4)),
+        ];
+        for (name, mutate) in cases {
+            let mut w = needle_task(64, 8, 3);
+            mutate(&mut w);
+            let mut core = ServeCore::new(small_config()).unwrap();
+            let err = core
+                .submit(&w, spec_for_share(), 0, Priority::Normal)
+                .unwrap_err();
+            assert!(
+                matches!(err, HarnessError::InvalidWorkload { .. }),
+                "{name}: {err:?}"
+            );
+            // Rejected before it is counted: the core still drains cleanly.
+            assert_eq!(core.metrics().summary().submitted, 0, "{name}");
+            core.drain().unwrap();
+        }
+    }
+
+    #[test]
+    fn tenant_ids_up_to_usize_max_are_served() {
+        let workloads = mixed_batch(3, 32, 6, 5);
+        let tenants = [0, 1 << 40, usize::MAX];
+        let config = small_config();
+        let mut core = ServeCore::new(config).unwrap();
+        for (w, &tenant) in workloads.iter().zip(&tenants) {
+            core.submit(w, spec_for_share(), tenant, Priority::Normal)
+                .unwrap();
+        }
+        core.drain().unwrap();
+        let report = core.report();
+        assert_eq!(report.completed.len(), 3);
+        for done in &report.completed {
+            assert_eq!(done.tenant, tenants[done.id]);
+            let mut solo = DecodeSession::prefill_spec(
+                &workloads[done.id],
+                &spec_for_share(),
+                &config.session_config(),
+            )
+            .unwrap();
+            solo.run_to_completion().unwrap();
+            assert_eq!(done.result, solo.finish(), "tenant {}", done.tenant);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use unicaim_attention::kernels;
+use unicaim_attention::kernels::{active_backend, KernelBackend};
 use unicaim_attention::metrics::{cosine_similarity, relative_l2_error, set_f1, Mean};
 use unicaim_attention::workloads::DecodeWorkload;
 use unicaim_attention::{softmax_in_place, AttentionError, KvStore};
@@ -143,6 +143,9 @@ pub struct DecodeSession<'w, 'p> {
     salient_universe: BTreeSet<usize>,
     /// `1/√dim`, the attention score scale.
     inv_sqrt_dim: f32,
+    /// The kernel tier every step runs on, read from [`active_backend`]
+    /// once at admission.
+    backend: KernelBackend,
     /// The next decode step to run; `steps()` when the session is done.
     next_step: usize,
     /// Logical resident-token ceiling within the store's fixed physical
@@ -191,8 +194,10 @@ impl<'w> DecodeSession<'w, 'static> {
     ///
     /// # Errors
     ///
-    /// [`HarnessError::PrefillOverBudget`] when the keep set exceeds the
-    /// cache capacity, [`HarnessError::PrefillOutOfRange`] /
+    /// [`HarnessError::InvalidWorkload`] when the workload's rows or
+    /// vectors disagree in shape; [`HarnessError::PrefillOverBudget`] when
+    /// the keep set exceeds the cache capacity,
+    /// [`HarnessError::PrefillOutOfRange`] /
     /// [`HarnessError::PrefillDuplicate`] when it names a token outside the
     /// prompt or twice.
     pub fn prefill(
@@ -251,6 +256,7 @@ impl<'w> DecodeSession<'w, 'static> {
         registry: &PrefixRegistry,
     ) -> Result<(Self, ReuseReport), HarnessError> {
         spec.validate_for(config)?;
+        validate_workload(workload)?;
         if registry.dim() != workload.dim {
             return Err(HarnessError::PrefixDimMismatch {
                 registry_dim: registry.dim(),
@@ -368,6 +374,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         mut policy: PolicyHolder<'p>,
         config: &SimConfig,
     ) -> Result<Self, HarnessError> {
+        validate_workload(workload)?;
         let prefill_len = workload.prefill_keys.len();
         let attn = prefill_attention_matrix(workload);
         let keep = policy
@@ -402,6 +409,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
             reference: workload.full_attention_reference(),
             salient_universe,
             inv_sqrt_dim: 1.0 / (dim as f32).sqrt(),
+            backend: active_backend(),
             next_step: 0,
             capacity_limit: config.capacity,
             scored: Vec::with_capacity(config.capacity),
@@ -595,8 +603,8 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         self.scan_scores.clear();
         self.scan_scores.resize(self.scan_slots.len(), 0.0);
         if let Some(qkeys) = self.store.quant_keys_view() {
-            self.query_scale = kernels::quantize_row_i8(query, &mut self.query_q);
-            kernels::dot_gather_q_scan(
+            self.query_scale = self.backend.quantize_row_i8(query, &mut self.query_q);
+            self.backend.dot_gather_q_scan(
                 &self.query_q,
                 self.query_scale,
                 qkeys,
@@ -605,7 +613,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
                 &mut self.scan_scores,
             );
         } else {
-            kernels::dot_gather(
+            self.backend.dot_gather(
                 query,
                 self.store.keys_view(),
                 &self.scan_slots,
@@ -630,7 +638,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
         self.n_resident.push(self.scored.len() as f64);
         self.n_selected.push(decision.selected.len() as f64);
         if let Some(qkeys) = self.store.quant_keys_view() {
-            kernels::attend_gather_q(
+            self.backend.attend_gather_q(
                 &self.query_q,
                 self.query_scale,
                 qkeys,
@@ -641,7 +649,7 @@ impl<'w, 'p> DecodeSession<'w, 'p> {
                 &mut self.output,
             );
         } else {
-            kernels::attend_gather(
+            self.backend.attend_gather(
                 query,
                 self.store.keys_view(),
                 self.store.values_view(),
@@ -782,6 +790,57 @@ fn write_new_token(
     }
 }
 
+/// Checks a workload's shape before any kernel reads it, in O(rows): a
+/// nonzero `dim`, one length for the prefill key/value/query vectors,
+/// another for the decode key/value/query vectors and `salient_at`, and
+/// every row `dim` long.
+///
+/// # Errors
+///
+/// [`HarnessError::InvalidWorkload`] naming the first inconsistency.
+pub(crate) fn validate_workload(w: &DecodeWorkload) -> Result<(), HarnessError> {
+    let invalid = |reason: String| Err(HarnessError::InvalidWorkload { reason });
+    let dim = w.dim;
+    if dim == 0 {
+        return invalid("dimension 0".into());
+    }
+    let prefill = w.prefill_keys.len();
+    if w.prefill_values.len() != prefill || w.prefill_queries.len() != prefill {
+        return invalid(format!(
+            "prefill has {prefill} keys, {} values and {} queries",
+            w.prefill_values.len(),
+            w.prefill_queries.len()
+        ));
+    }
+    let steps = w.decode_queries.len();
+    if w.decode_keys.len() != steps || w.decode_values.len() != steps || w.salient_at.len() != steps
+    {
+        return invalid(format!(
+            "decode has {steps} queries, {} keys, {} values and {} salient sets",
+            w.decode_keys.len(),
+            w.decode_values.len(),
+            w.salient_at.len()
+        ));
+    }
+    let planes = [
+        ("prefill key", &w.prefill_keys),
+        ("prefill value", &w.prefill_values),
+        ("prefill query", &w.prefill_queries),
+        ("decode query", &w.decode_queries),
+        ("decode key", &w.decode_keys),
+        ("decode value", &w.decode_values),
+    ];
+    for (name, rows) in planes {
+        if let Some((i, row)) = rows.iter().enumerate().find(|(_, r)| r.len() != dim) {
+            return invalid(format!(
+                "{name} {i} has {} elements, not dim {dim}",
+                row.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Checks a policy's prefill keep set against the harness contract, in
 /// the order the contract documents: budget first, then per token (in
 /// keep order) range before uniqueness. Shared by the cold and spliced
@@ -906,6 +965,30 @@ mod tests {
                 workload_dim: w.dim,
             }
         );
+    }
+
+    #[test]
+    fn every_prefill_entry_point_rejects_a_malformed_workload() {
+        let mut w = needle_task(48, 6, 2);
+        w.decode_keys[3].pop();
+        let cfg = SimConfig::new(64, 8);
+        let registry = PrefixRegistry::new(w.dim, 16).unwrap();
+        let errors = [
+            DecodeSession::prefill(&w, Box::new(FullCache), &cfg).err(),
+            DecodeSession::prefill_spec(&w, &PolicySpec::Full, &cfg).err(),
+            DecodeSession::prefill_shared(&w, &PolicySpec::Full, &cfg, &registry).err(),
+            simulate_decode(&w, &mut FullCache, &cfg).err(),
+        ];
+        for err in errors {
+            assert_eq!(
+                err,
+                Some(HarnessError::InvalidWorkload {
+                    reason: format!("decode key 3 has {} elements, not dim {}", w.dim - 1, w.dim)
+                })
+            );
+        }
+        // Nothing was cached for the rejected prompt.
+        assert_eq!(registry.entries(), 0);
     }
 
     #[test]

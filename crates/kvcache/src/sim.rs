@@ -3,7 +3,7 @@
 //! incremental [`DecodeSession`](crate::DecodeSession) API.
 
 use serde::{Deserialize, Serialize};
-use unicaim_attention::kernels::{self, RowView};
+use unicaim_attention::kernels::{active_backend, RowView};
 use unicaim_attention::workloads::DecodeWorkload;
 use unicaim_attention::{softmax_in_place, KvStore, Matrix, Precision};
 
@@ -160,8 +160,10 @@ pub fn simulate_decode(
 /// prefill static-pruning stage ranks tokens with).
 ///
 /// The prompt keys are flattened into a contiguous arena once, then every
-/// query row runs a strided [`kernels::dot_prefix`] pass — the pre-refactor
-/// version chased one heap allocation per key per query.
+/// query row runs a strided
+/// [`dot_prefix`](unicaim_attention::KernelBackend::dot_prefix) pass on
+/// the process kernel tier — the pre-refactor version chased one heap
+/// allocation per key per query.
 #[must_use]
 pub fn prefill_attention_matrix(workload: &DecodeWorkload) -> Matrix {
     let seq = workload.prefill_keys.len();
@@ -173,11 +175,12 @@ pub fn prefill_attention_matrix(workload: &DecodeWorkload) -> Matrix {
     }
     let keys = RowView::contiguous(&arena, dim);
     let mut probs = Matrix::zeros(seq, seq);
+    let backend = active_backend();
     for t in 0..seq {
         let q = &workload.prefill_queries[t];
         let row = probs.row_mut(t);
         // Mask the future by excluding it from the scores and the softmax.
-        kernels::dot_prefix(q, keys, scale, &mut row[..t + 1]);
+        backend.dot_prefix(q, keys, scale, &mut row[..t + 1]);
         softmax_in_place(&mut row[..t + 1]);
     }
     probs
@@ -187,11 +190,12 @@ pub fn prefill_attention_matrix(workload: &DecodeWorkload) -> Matrix {
 ///
 /// An empty selection returns a deterministic zero vector of the store's
 /// dimension (the pruned model attends to nothing, so it contributes
-/// nothing). Runs the fused [`kernels::attend_gather`] kernel over the
-/// store's flat key/value arenas — or its quantized twin
-/// [`kernels::attend_gather_q`] when the store keeps a quantized key
-/// arena, so the convenience API scores at the same precision the decode
-/// hot path does.
+/// nothing). Runs the fused
+/// [`attend_gather`](unicaim_attention::KernelBackend::attend_gather)
+/// kernel over the store's key/value arenas — or its quantized twin
+/// [`attend_gather_q`](unicaim_attention::KernelBackend::attend_gather_q)
+/// when the store keeps a quantized key arena, so the convenience API
+/// scores at the same precision the decode hot path does.
 ///
 /// # Errors
 ///
@@ -214,10 +218,11 @@ pub fn attention_over(
         .map_err(|token| HarnessError::NonResidentToken { token })?;
     let scale = 1.0 / (query.len() as f32).sqrt();
     let mut weights = Vec::with_capacity(slots.len());
+    let backend = active_backend();
     if let Some(qkeys) = store.quant_keys_view() {
         let mut query_q = vec![0i8; query.len()];
-        let query_scale = kernels::quantize_row_i8(query, &mut query_q);
-        kernels::attend_gather_q(
+        let query_scale = backend.quantize_row_i8(query, &mut query_q);
+        backend.attend_gather_q(
             &query_q,
             query_scale,
             qkeys,
@@ -228,7 +233,7 @@ pub fn attention_over(
             &mut out,
         );
     } else {
-        kernels::attend_gather(
+        backend.attend_gather(
             query,
             store.keys_view(),
             store.values_view(),

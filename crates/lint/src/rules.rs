@@ -22,8 +22,6 @@ pub const RULE_NO_PANIC: &str = "no-panic-in-lib";
 /// `#[target_feature]` intrinsics stay private to `simd.rs` behind safe
 /// wrappers.
 pub const RULE_TARGET_FEATURE: &str = "target-feature-confinement";
-/// Every dispatched public kernel has its `*_with(backend, ...)` twin.
-pub const RULE_KERNEL_TWIN: &str = "kernel-twin-completeness";
 /// Bench suite registry ↔ saved baselines ↔ `.gitignore` whitelist stay in
 /// lockstep.
 pub const RULE_REGISTRY: &str = "registry-baseline-sync";
@@ -33,11 +31,10 @@ pub const RULE_NONDET: &str = "no-nondeterminism";
 pub const RULE_ALLOW_REASON: &str = "allow-needs-reason";
 
 /// Every rule name, in reporting order.
-pub const ALL_RULES: [&str; 7] = [
+pub const ALL_RULES: [&str; 6] = [
     RULE_UNSAFE,
     RULE_NO_PANIC,
     RULE_TARGET_FEATURE,
-    RULE_KERNEL_TWIN,
     RULE_REGISTRY,
     RULE_NONDET,
     RULE_ALLOW_REASON,
@@ -45,9 +42,6 @@ pub const ALL_RULES: [&str; 7] = [
 
 /// The one module allowed to contain `unsafe` / `#[target_feature]` code.
 pub const SIMD_MODULE: &str = "crates/attention/src/simd.rs";
-
-/// The kernel facade checked for `*_with` twin completeness.
-pub const KERNELS_MODULE: &str = "crates/attention/src/kernels.rs";
 
 /// The bench suite registry source.
 pub const SUITE_MODULE: &str = "crates/bench/src/suite.rs";
@@ -302,67 +296,11 @@ fn fn_name(code: &str) -> Option<String> {
     }
 }
 
-/// Rule 4: every public kernel in [`KERNELS_MODULE`] that dispatches via
-/// `active_backend()` has an explicit-backend `*_with` twin, and every
-/// `*_with` twin has its dispatching counterpart. The twins are what let
-/// tests and `UNICAIM_KERNEL_BACKEND` pin a tier deterministically.
-#[must_use]
-pub fn check_kernel_twins(rel: &str, lines: &[Line], in_test: &[bool]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if rel != KERNELS_MODULE {
-        return out;
-    }
-    // Collect top-level `pub fn` declarations and their body spans (a span
-    // runs to the next column-0 item declaration).
-    let mut decls: Vec<(usize, String)> = Vec::new();
-    for (idx, line) in lines.iter().enumerate() {
-        if in_test[idx] {
-            continue;
-        }
-        if line.code.starts_with("pub fn ") {
-            if let Some(name) = fn_name(&line.code) {
-                decls.push((idx, name));
-            }
-        }
-    }
-    let names: BTreeSet<&str> = decls.iter().map(|(_, n)| n.as_str()).collect();
-    for (pos, (idx, name)) in decls.iter().enumerate() {
-        let end = decls
-            .get(pos + 1)
-            .map_or(lines.len(), |(next_idx, _)| *next_idx);
-        if let Some(base) = name.strip_suffix("_with") {
-            if !names.contains(base) {
-                out.push(Diagnostic::new(
-                    RULE_KERNEL_TWIN,
-                    rel,
-                    idx + 1,
-                    format!("`{name}` has no dispatching counterpart `{base}`"),
-                ));
-            }
-            continue;
-        }
-        let dispatches =
-            (idx + 1..end).any(|j| !in_test[j] && contains_word(&lines[j].code, "active_backend"));
-        if dispatches && !names.contains(format!("{name}_with").as_str()) {
-            out.push(Diagnostic::new(
-                RULE_KERNEL_TWIN,
-                rel,
-                idx + 1,
-                format!(
-                    "`{name}` dispatches over `active_backend()` but has no \
-                     explicit-backend `{name}_with` twin"
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// Nondeterminism sources forbidden in the deterministic library paths.
 /// (Bench binaries measure wall-clock on purpose and are out of scope.)
 const NONDET_WORDS: [&str; 4] = ["SystemTime", "Instant", "thread_rng", "from_entropy"];
 
-/// Rule 6: the sim/serve/stack paths are tick-domain deterministic —
+/// Rule 5: the sim/serve/stack paths are tick-domain deterministic —
 /// their outputs are drift-gated byte-for-byte in CI, so a wall-clock or
 /// entropy read anywhere in them is a reproducibility bug.
 #[must_use]
@@ -392,7 +330,7 @@ pub fn check_nondeterminism(rel: &str, lines: &[Line], in_test: &[bool]) -> Vec<
     out
 }
 
-/// Rule 5: the bench suite registry, the saved baselines, and the
+/// Rule 4: the bench suite registry, the saved baselines, and the
 /// `.gitignore` results whitelist must stay in lockstep — a suite without
 /// a baseline silently skips its drift gate, and a tracked result outside
 /// the whitelist silently stops being regenerated-and-diffed in CI.
@@ -584,8 +522,8 @@ mod tests {
     #[test]
     fn fn_name_extraction() {
         assert_eq!(
-            fn_name("pub fn dot_with(backend: B) {").as_deref(),
-            Some("dot_with")
+            fn_name("pub fn dot_f32_avx2(a: &[f32]) {").as_deref(),
+            Some("dot_f32_avx2")
         );
         assert_eq!(fn_name("    fn helper() {").as_deref(), Some("helper"));
         assert_eq!(fn_name("let x = 1;"), None);

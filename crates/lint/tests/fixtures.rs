@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use unicaim_lint::rules::{check_registry_sync, KERNELS_MODULE, SIMD_MODULE};
+use unicaim_lint::rules::{check_registry_sync, SIMD_MODULE};
 use unicaim_lint::{lint_source, Diagnostic};
 
 fn fixture(rule: &str, which: &str) -> (PathBuf, String) {
@@ -24,11 +24,10 @@ fn rules_of(diags: &[Diagnostic]) -> Vec<&str> {
 }
 
 /// (rule, workspace-relative path the fixture is linted *as*).
-const FILE_RULE_FIXTURES: [(&str, &str); 5] = [
+const FILE_RULE_FIXTURES: [(&str, &str); 4] = [
     ("unsafe-needs-safety", "crates/attention/src/kv.rs"),
     ("no-panic-in-lib", "crates/kvcache/src/session.rs"),
     ("target-feature-confinement", SIMD_MODULE),
-    ("kernel-twin-completeness", KERNELS_MODULE),
     ("no-nondeterminism", "crates/kvcache/src/serve.rs"),
 ];
 
@@ -69,21 +68,6 @@ fn target_feature_is_confined_even_when_the_fixture_is_well_formed() {
     assert!(
         rules_of(&diags).contains(&"target-feature-confinement"),
         "{diags:?}"
-    );
-}
-
-#[test]
-fn kernel_twin_fail_fixture_flags_both_directions() {
-    let (_, src) = fixture("kernel-twin-completeness", "fail");
-    let (diags, _) = lint_source(KERNELS_MODULE, &src);
-    let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("`dot` dispatches")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("`axpy_with` has no")),
-        "{msgs:?}"
     );
 }
 
